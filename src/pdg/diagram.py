@@ -44,8 +44,11 @@ class Point:
     index: int = 0
 
     def __post_init__(self) -> None:
-        birth = float(self.birth)
-        death = float(self.death)
+        try:
+            birth = float(self.birth)
+            death = float(self.death)
+        except OverflowError as exc:
+            raise ValidationError(f"point coordinates must fit in a float: {exc}") from exc
         if not (math.isfinite(birth) and math.isfinite(death)):
             raise ValidationError(
                 f"point ({self.birth}, {self.death}) has non-finite coordinates"
@@ -206,6 +209,11 @@ def parse_diagram(data) -> Diagram:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    return diagram_from_dict(obj)
+
+
+def diagram_from_dict(obj) -> Diagram:
+    """Build a diagram from decoded diagram JSON; inverts diagram_to_dict exactly."""
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError('diagram JSON must be an object with a "points" field')
     rows = obj["points"]
@@ -218,9 +226,10 @@ def parse_diagram(data) -> Diagram:
         for entry in row:
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise ParseError(f'"points" row {pos} holds a non-numeric entry: {entry!r}')
-        index = int(row[2]) if len(row) == 3 else pos
-        if len(row) == 3 and row[2] != index:
+        # is_integer() is False for inf and nan, which int() cannot take
+        if len(row) == 3 and isinstance(row[2], float) and not row[2].is_integer():
             raise ParseError(f'"points" row {pos} has a non-integer index: {row[2]!r}')
+        index = int(row[2]) if len(row) == 3 else pos
         try:
             pts.append(Point(row[0], row[1], index))
         except ValidationError as exc:

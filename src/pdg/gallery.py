@@ -60,22 +60,21 @@ def _tall_track(k: float, t: float) -> tuple[float, float]:
     return (0.5 * k * t, 0.5 * k * (2.0 - t))
 
 
-def mu_infty(k: float, j: float, t: float) -> Diagram:
-    k, j = _check_tall_low(k, j, "j")
+def _absorbed_low(k: float, low: float, low_name: str, t: float) -> Diagram:
+    k, low = _check_tall_low(k, low, low_name)
     t = _check_time(t)
     pts = [(*_tall_track(k, t), 0)]
     if t < 1.0 / 3.0:
-        pts.append((1.5 * j * t, 0.5 * j * (2.0 - 3.0 * t), 1))
+        pts.append((1.5 * low * t, 0.5 * low * (2.0 - 3.0 * t), 1))
     return _alive(pts)
+
+
+def mu_infty(k: float, j: float, t: float) -> Diagram:
+    return _absorbed_low(k, j, "j", t)
 
 
 def nu_infty(k: float, l: float, t: float) -> Diagram:
-    k, l = _check_tall_low(k, l, "l")
-    t = _check_time(t)
-    pts = [(*_tall_track(k, t), 0)]
-    if t < 1.0 / 3.0:
-        pts.append((1.5 * l * t, 0.5 * l * (2.0 - 3.0 * t), 1))
-    return _alive(pts)
+    return _absorbed_low(k, l, "l", t)
 
 
 def omega_infty(k: float, j: float, t: float) -> Diagram:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .diagram import Diagram, MetricParams, Point, _qnorm, diagram_to_dict, parse_diagram
+from .diagram import Diagram, MetricParams, Point, _qnorm, diagram_from_dict, diagram_to_dict
 from .errors import (
     ParameterDomainError,
     ParseError,
@@ -50,7 +50,10 @@ class SampledCurve:
     frames: tuple[Diagram, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
+        try:
+            times = tuple(float(t) for t in self.times)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"sample times must be real numbers: {exc}") from exc
         frames = tuple(self.frames)
         if len(times) != len(frames):
             raise StructuralError(
@@ -60,7 +63,7 @@ class SampledCurve:
             raise ValidationError("a sampled curve needs at least 2 samples")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise ValidationError("sample times must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(a < b for a, b in zip(times, times[1:])):  # also rejects nan
             raise ValidationError("sample times must be strictly increasing")
         for frame in frames:
             if not isinstance(frame, Diagram):
@@ -102,10 +105,10 @@ def parse_curve(data) -> SampledCurve:
     decoded = []
     for pos, frame in enumerate(frames):
         try:
-            decoded.append(parse_diagram(json.dumps(frame)))
+            decoded.append(diagram_from_dict(frame))
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"frame {pos}: {exc}") from exc
-    return SampledCurve(tuple(float(t) for t in times), tuple(decoded))
+    return SampledCurve(tuple(times), tuple(decoded))
 
 
 # ---------------------------------------------------------------------------

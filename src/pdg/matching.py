@@ -5,7 +5,10 @@ left slots are the points of X followed by one diagonal copy per point of Y,
 right slots are the points of Y followed by one diagonal copy per point of X.
 A real pair costs the l^q norm of the coordinate difference, a real point
 paired with a diagonal copy costs its perpendicular distance to the diagonal,
-and two diagonal copies pair for free.
+and two diagonal copies pair for free.  The matrix is built by numpy
+broadcasts over the two point arrays, each entry bitwise equal to the scalar
+norm, and a solver reads its witness's pair costs back from the matrix it
+solved; matching_cost reprices a given matching from the diagrams alone.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
 O(n^3) method); for p = inf it minimizes the largest selected entry by
@@ -24,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diagram import Diagram, MetricParams, _qnorm, diagonal_distance
+from .diagram import Diagram, MetricParams, _qnorm
 from .errors import SizeGuardError, StructuralError, WrongSolverError
 
 #: Largest augmented problem size the factorial (enumeration) paths accept.
@@ -88,28 +91,47 @@ class AugmentedProblem:
         return len(self.y)
 
 
-def _slot_ground_cost(x: Diagram, y: Diagram, i: int, j: int, q: float) -> float:
-    nx = len(x)
-    ny = len(y)
-    left_real = i < nx
-    right_real = j < ny
-    if left_real and right_real:
-        a = x.points[i]
-        b = y.points[j]
-        return _qnorm(a.birth - b.birth, a.death - b.death, q)
-    if left_real:
-        return diagonal_distance(x.points[i], q)
-    if right_real:
-        return diagonal_distance(y.points[j], q)
-    return 0.0
+#: math.hypot and _qnorm as ufuncs over object arrays.  np.hypot is not used
+#: on purpose: it differs from math.hypot in the last bit on some entries,
+#: and a ground entry must equal the scalar norm bitwise, so that a witness
+#: reprices to its value exactly and a bottleneck value is found among the
+#: entries of an independently built matrix.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+_qnorm_ufunc = np.frompyfunc(_qnorm, 3, 1)
+
+
+def _real_grounds(diff: np.ndarray, q: float) -> np.ndarray:
+    """Elementwise l^q norms of the coordinate differences in diff[..., 0:2],
+    each bitwise what _qnorm gives."""
+    a = np.abs(diff)
+    ax = a[..., 0]
+    ay = a[..., 1]
+    if q == 1.0:
+        return ax + ay
+    if q == math.inf:
+        return np.maximum(ax, ay)
+    if q == 2.0:
+        return _hypot(ax, ay).astype(float)
+    return _qnorm_ufunc(ax, ay, q).astype(float)
+
+
+def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
+    """Elementwise diagonal_distance of the points with (n, 2) coordinates."""
+    exponent = 0.0 if q == math.inf else 1.0 / q
+    return 2.0 ** (exponent - 1.0) * (coords[:, 1] - coords[:, 0])
 
 
 def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> AugmentedProblem:
-    n = len(x) + len(y)
+    nx = len(x)
+    ny = len(y)
+    n = nx + ny
+    q = params.q
+    xs = x.geometry()
+    ys = y.geometry()
     ground = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            ground[i, j] = _slot_ground_cost(x, y, i, j, params.q)
+    ground[:nx, :ny] = _real_grounds(xs[:, None] - ys[None, :], q)
+    ground[:nx, ny:] = _diagonal_grounds(xs, q)[:, None]
+    ground[nx:, :ny] = _diagonal_grounds(ys, q)
     if params.p == math.inf:
         return AugmentedProblem(x, y, params, ground, ground, 1.0)
     scale = float(ground.max()) if n else 0.0
@@ -130,8 +152,24 @@ def _check_assignment(x: Diagram, y: Diagram, assignment) -> None:
 
 
 def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[float]:
+    """The n selected entries of the ground matrix, computed without building it."""
     _check_assignment(x, y, assignment)
-    return [_slot_ground_cost(x, y, i, j, q) for i, j in enumerate(assignment)]
+    nx = len(x)
+    ny = len(y)
+    xs = x.geometry()
+    ys = y.geometry()
+    cols = np.asarray(assignment, dtype=np.intp)
+    grounds = np.zeros(len(cols))
+    # a point of X goes to its partner in Y, or else to the diagonal
+    partner = cols[:nx]
+    real = partner < ny
+    grounds[:nx] = _diagonal_grounds(xs, q)
+    grounds[:nx][real] = _real_grounds(xs[real] - ys[partner[real]], q)
+    # a diagonal copy takes a point of Y to the diagonal, or else another copy
+    partner = cols[nx:]
+    real = partner < ny
+    grounds[nx:][real] = _diagonal_grounds(ys[partner[real]], q)
+    return grounds.tolist()
 
 
 def _aggregate(grounds, p: float) -> float:
@@ -147,6 +185,22 @@ def _aggregate(grounds, p: float) -> float:
     return scale * math.fsum((g / scale) ** p for g in grounds) ** (1.0 / p)
 
 
+def _matching(assignment: tuple[int, ...], grounds: list[float], p: float) -> Matching:
+    total = _aggregate(grounds, p)
+    if p == math.inf:
+        pair_costs = tuple(grounds)
+    else:
+        pair_costs = tuple(g ** p for g in grounds)
+    return Matching(assignment, pair_costs, total)
+
+
+def _solved(prob: AugmentedProblem, assignment) -> Matching:
+    """The matching of a solved assignment, its pair grounds read from prob.ground."""
+    cols = np.asarray(assignment, dtype=np.intp)
+    grounds = prob.ground[np.arange(prob.n), cols].tolist()
+    return _matching(tuple(cols.tolist()), grounds, prob.params.p)
+
+
 def matching_cost(x: Diagram, y: Diagram, m: Matching, params: MetricParams) -> float:
     """Cost of a given matching, recomputed from the diagrams."""
     grounds = _assignment_grounds(x, y, m.assignment, params.q)
@@ -156,12 +210,7 @@ def matching_cost(x: Diagram, y: Diagram, m: Matching, params: MetricParams) -> 
 def matching_from_assignment(x: Diagram, y: Diagram, assignment, params: MetricParams) -> Matching:
     """Materialize a Matching (with costs) from a bare slot permutation."""
     grounds = _assignment_grounds(x, y, assignment, params.q)
-    total = _aggregate(grounds, params.p)
-    if params.p == math.inf:
-        pair_costs = tuple(grounds)
-    else:
-        pair_costs = tuple(g ** params.p for g in grounds)
-    return Matching(tuple(int(j) for j in assignment), pair_costs, total)
+    return _matching(tuple(int(j) for j in assignment), grounds, params.p)
 
 
 def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
@@ -171,7 +220,7 @@ def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
     if prob.n == 0:
         return Matching((), (), 0.0)
     _, cols = linear_sum_assignment(prob.cost)
-    return matching_from_assignment(prob.x, prob.y, tuple(int(c) for c in cols), prob.params)
+    return _solved(prob, cols)
 
 
 def _perfect_matching_under(ground: np.ndarray, tau: float):
@@ -217,8 +266,7 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
             hi = mid
         else:
             lo = mid + 1
-    assignment = _perfect_matching_under(prob.ground, float(entries[lo]))
-    return matching_from_assignment(prob.x, prob.y, assignment, prob.params)
+    return _solved(prob, _perfect_matching_under(prob.ground, float(entries[lo])))
 
 
 def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Matching]:
@@ -266,9 +314,7 @@ def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
         totals = selected.max(axis=1)
     else:
         totals = selected.sum(axis=1)
-    best = perms[int(np.argmin(totals))]
-    grounds = _assignment_grounds(x, y, tuple(int(j) for j in best), params.q)
-    return _aggregate(grounds, params.p)
+    return _solved(prob, perms[int(np.argmin(totals))]).total
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
@@ -300,5 +346,5 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
         if action in seen:
             continue
         seen.add(action)
-        out.append(matching_from_assignment(x, y, tuple(int(j) for j in perm), params))
+        out.append(_solved(prob, perm))
     return out

@@ -102,6 +102,25 @@ def test_malformed_document_is_exit_2(tmp_path, capsys):
     assert "row 0" in capsys.readouterr().err
 
 
+HUGE_INT = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+def test_huge_integer_point_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"points": [[0, %s]]}' % HUGE_INT)
+    good = tmp_path / "good.json"
+    good.write_text(X_TEXT)
+    assert main(["dist", str(bad), str(good)]) == 2
+    assert "row 0" in capsys.readouterr().err
+
+
+def test_huge_integer_time_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text('{"times": [0, %s, 1], "frames": [%s, %s, %s]}' % (HUGE_INT, X_TEXT, X_TEXT, X_TEXT))
+    assert main(["certify", str(path), "--p", "2", "--q", "2"]) == 2
+    assert "sample times" in capsys.readouterr().err
+
+
 def test_size_guard_is_exit_3(tmp_path, capsys):
     frame = {"points": [[float(i), float(i) + 1.0] for i in range(5)]}
     curve = {"times": [0.0, 1.0], "frames": [frame, frame]}

@@ -139,6 +139,8 @@ def test_parse_error_names_the_offending_row():
         parse_diagram('{"points": [[0, 1], [1, "x"]]}')
     with pytest.raises(ValidationError, match="row 1"):
         parse_diagram('{"points": [[0, 1], [5, 4]]}')
+    with pytest.raises(ParseError, match="row 1 has a non-integer index"):
+        parse_diagram('{"points": [[0, 1], [0, 1, Infinity]]}')
 
 
 def test_round_trip_simple():

@@ -201,6 +201,8 @@ def test_parse_curve_rejections():
         parse_curve('{"times": [0.0, 1.0], "frames": [{"points": []}, {"points": [[3, 1]]}]}')
     with pytest.raises(ValidationError):
         parse_curve('{"times": [0.0, 2.0], "frames": [{"points": []}, {"points": []}]}')
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        parse_curve('{"times": [0.0, NaN, 1.0], "frames": [{"points": []}, {"points": []}, {"points": []}]}')
 
 
 def test_certificate_serialization():

@@ -12,8 +12,10 @@ from pdg import (
     WrongSolverError,
     brute_force_distance,
     build_augmented_problem,
+    diagonal_distance,
     distance,
     enumerate_optimal_matchings,
+    ground_norm,
     matching_cost,
     solve_assignment_bottleneck,
     solve_assignment_sum,
@@ -34,6 +36,15 @@ FOUR_POINT_GROUND_Q1 = np.array([
 ])
 
 
+def random_sized_pair(rng, nx, ny):
+    def draw(n):
+        births = rng.uniform(-5.0, 5.0, n)
+        deaths = births + rng.uniform(0.1, 4.0, n)
+        return Diagram.from_pairs(list(zip(births.tolist(), deaths.tolist())))
+
+    return draw(nx), draw(ny)
+
+
 def geometric_action(matching, n_right_real):
     return tuple(
         j if j < n_right_real else -1
@@ -48,6 +59,49 @@ def test_augmented_ground_matrix_frozen():
     assert prob.n_left_real == 2
     assert prob.n_right_real == 2
     assert np.array_equal(prob.ground, FOUR_POINT_GROUND_Q1)
+
+
+def scalar_ground(x, y, q):
+    """The augmented ground matrix entry by entry from the public scalar norms."""
+    nx, ny = len(x), len(y)
+    ground = np.zeros((nx + ny, nx + ny))
+    for i in range(nx + ny):
+        for j in range(nx + ny):
+            if i < nx and j < ny:
+                a, b = x.points[i], y.points[j]
+                ground[i, j] = ground_norm((a.birth - b.birth, a.death - b.death), q)
+            elif i < nx:
+                ground[i, j] = diagonal_distance(x.points[i], q)
+            elif j < ny:
+                ground[i, j] = diagonal_distance(y.points[j], q)
+    return ground
+
+
+def test_ground_matrix_equals_the_scalar_oracle_bitwise():
+    rng = np.random.default_rng(53)
+    sizes = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (7, 3), (12, 9)]
+    for nx, ny in sizes:
+        x, y = random_sized_pair(rng, nx, ny)
+        for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+            for p in (2.0, math.inf):
+                prob = build_augmented_problem(x, y, MetricParams(p, q))
+                oracle = scalar_ground(x, y, q)
+                assert prob.ground.shape == oracle.shape
+                assert (prob.ground == oracle).all()
+
+
+def test_witness_reprices_bitwise_beyond_the_factorial_oracles():
+    rng = np.random.default_rng(59)
+    qs = iter((1.0, 2.0, math.inf, 1.5, 2.0, 3.0, math.inf, 1.0, 2.0, 1.0, 3.0, math.inf))
+    for nx, ny in ((20, 23), (41, 35), (60, 57)):
+        x, y = random_sized_pair(rng, nx, ny)
+        for p in (1.0, 2.0, 3.3, math.inf):
+            params = MetricParams(p, next(qs))
+            value, witness = distance(x, y, params)
+            assert matching_cost(x, y, witness, params) == value
+            assert witness.total == value
+            if p == math.inf:
+                assert value in build_augmented_problem(x, y, params).ground
 
 
 def test_four_point_distance_is_four():
