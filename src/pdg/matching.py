@@ -11,10 +11,15 @@ norm, and a solver reads its witness's pair costs back from the matrix it
 solved; matching_cost reprices a given matching from the diagrams alone.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
-O(n^3) method); for p = inf it minimizes the largest selected entry by
-binary-searching the sorted entry values with an augmenting-path perfect
-matching feasibility check, so the reported bottleneck value is always an
-exact matrix entry.
+O(n^3) method).  For p = inf it minimizes the largest selected entry: the
+optimum is the smallest entry whose threshold graph has a perfect matching,
+so the reported bottleneck value is always an exact matrix entry.  The
+search is bracketed between the largest row or column minimum and the
+largest entry of the minimum-sum assignment, tries the lower bound first,
+and binary-searches the distinct entries in between with Kuhn's augmenting
+paths, warm-started from that assignment and run on an explicit stack.  The
+witness is the matching a cold Kuhn pass finds at the optimum, rows in
+order and each row's columns ascending, whatever the search probed.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .diagram import Diagram, MetricParams, _qnorm
-from .errors import SizeGuardError, StructuralError, WrongSolverError
+from .errors import SizeGuardError, StructuralError, ValidationError, WrongSolverError
 
 #: Largest augmented problem size the factorial (enumeration) paths accept.
 FACTORIAL_GUARD = 9
@@ -188,10 +193,17 @@ def _aggregate(grounds, p: float) -> float:
 def _matching(assignment: tuple[int, ...], grounds: list[float], p: float) -> Matching:
     total = _aggregate(grounds, p)
     if p == math.inf:
-        pair_costs = tuple(grounds)
-    else:
-        pair_costs = tuple(g ** p for g in grounds)
-    return Matching(assignment, pair_costs, total)
+        return Matching(assignment, tuple(grounds), total)
+    pair_costs = []
+    for i, g in enumerate(grounds):
+        try:
+            pair_costs.append(g ** p)
+        except OverflowError:
+            raise ValidationError(
+                f"left slot {i} pairs with right slot {assignment[i]} at ground cost {g!r}, "
+                f"whose p-th power (p = {p:g}) overflows a float"
+            ) from None
+    return Matching(assignment, tuple(pair_costs), total)
 
 
 def _solved(prob: AugmentedProblem, assignment) -> Matching:
@@ -223,26 +235,69 @@ def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
     return _solved(prob, cols)
 
 
-def _perfect_matching_under(ground: np.ndarray, tau: float):
-    """Perfect matching using only entries <= tau, or None."""
+def _threshold_adjacency(ground: np.ndarray, tau: float) -> list[list[int]]:
+    """For each row, the columns of its entries <= tau in ascending order."""
+    mask = ground <= tau
+    flat = np.nonzero(mask)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _augment(root: int, adj: list[list[int]], row_of: list[int], seen: list[int]) -> bool:
+    """Kuhn's depth-first search for an augmenting path from the free row root.
+
+    Rows try their columns in ascending order and a column is entered at most
+    once per root (seen[j] == root), the order of the textbook recursion, kept
+    on an explicit stack so that a long chain cannot exhaust Python's.  On
+    success the path is flipped into row_of (the row matched to each column).
+    """
+    rows = [root]
+    cols: list[int] = []
+    untried = [iter(adj[root])]
+    while untried:
+        for j in untried[-1]:
+            if seen[j] != root:
+                break
+        else:
+            untried.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
+            continue
+        seen[j] = root
+        cols.append(j)
+        owner = row_of[j]
+        if owner < 0:
+            for i, c in zip(rows, cols):
+                row_of[c] = i
+            return True
+        rows.append(owner)
+        untried.append(iter(adj[owner]))
+    return False
+
+
+def _perfect_matching_under(ground: np.ndarray, tau: float, start=None):
+    """Perfect matching using only entries <= tau, or None.
+
+    start, a column per row, warm-starts the search: its pairs with an entry
+    <= tau are kept and only the rows it leaves free are augmented.  Without
+    it every row is augmented from scratch, in row order.
+    """
     n = ground.shape[0]
-    adj = [np.flatnonzero(ground[i] <= tau) for i in range(n)]
-    match_right = [-1] * n
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if not visited[j]:
-                visited[j] = True
-                if match_right[j] < 0 or try_augment(match_right[j], visited):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not try_augment(i, [False] * n):
+    adj = _threshold_adjacency(ground, tau)
+    row_of = [-1] * n
+    free = range(n)
+    if start is not None:
+        kept = ground[np.arange(n), start] <= tau
+        for i, j in zip(np.flatnonzero(kept).tolist(), start[kept].tolist()):
+            row_of[j] = i
+        free = np.flatnonzero(~kept).tolist()
+    seen = [-1] * n
+    for i in free:
+        if not _augment(i, adj, row_of, seen):
             return None
     assignment = [-1] * n
-    for j, i in enumerate(match_right):
+    for j, i in enumerate(row_of):
         assignment[i] = j
     return tuple(assignment)
 
@@ -250,23 +305,45 @@ def _perfect_matching_under(ground: np.ndarray, tau: float):
 def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     """Minimum-bottleneck assignment for p = inf.
 
-    Binary search over the sorted distinct ground entries; the optimum is the
-    smallest entry value admitting a perfect matching, hence the returned
-    total is exactly one of the matrix entries.
+    The optimum d* is the smallest ground entry whose threshold graph
+    (entries <= d*) has a perfect matching, so the returned total is exactly
+    one of the matrix entries.  The search is bracketed: every perfect
+    matching reaches the largest row or column minimum, and the minimum-sum
+    assignment of the ground matrix is a perfect matching whose largest entry
+    bounds d* from above.  The lower bound is tried first; if it fails, a
+    binary search probes only the distinct entries above it up to the upper
+    bound, each probe warm-started from the assignment's pairs under its
+    threshold.  The witness is the perfect matching a cold Kuhn pass finds
+    at d*: rows in order, each row's columns ascending, a fresh visited set
+    per row.  The pass that tries the lower bound is that cold pass.
     """
     if prob.params.p != math.inf:
         raise WrongSolverError("finite p requires solve_assignment_sum")
     if prob.n == 0:
         return Matching((), (), 0.0)
-    entries = np.unique(prob.ground)
-    lo, hi = 0, len(entries) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _perfect_matching_under(prob.ground, float(entries[mid])) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return _solved(prob, _perfect_matching_under(prob.ground, float(entries[lo])))
+    ground = prob.ground
+    # fmin skips NaN entries (_qnorm of an infinite difference at q other than
+    # 1, 2 and inf), which are never edges; no diagonal entry is NaN, and every
+    # row and column has one
+    lower = max(np.fmin.reduce(ground, axis=1).max(), np.fmin.reduce(ground, axis=0).max())
+    witness = _perfect_matching_under(ground, lower)
+    if witness is None:
+        try:
+            _, start = linear_sum_assignment(ground)
+            upper = ground[np.arange(prob.n), start].max()
+        except ValueError:
+            # a NaN entry, or only infinite entries complete a perfect matching
+            start, upper = None, math.inf
+        entries = np.unique(ground[(ground > lower) & (ground <= upper)])
+        lo, hi = 0, len(entries) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _perfect_matching_under(ground, float(entries[mid]), start) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        witness = _perfect_matching_under(ground, float(entries[lo]))
+    return _solved(prob, witness)
 
 
 def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Matching]:

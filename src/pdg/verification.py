@@ -14,6 +14,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .diagram import Diagram, MetricParams, Point
+from .errors import ParameterDomainError
 from .geodesics import (
     certify_geodesic,
     classify_curve,
@@ -431,6 +432,10 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
 
 def run_suite(name: str, seed: int = 0, *, trials: int = 50, draws: int = 1000,
               grid: int = 33, tol: float = 1e-9) -> list[Check]:
+    # a suite run with no trials or draws would pass its checks vacuously
+    for flag, value in (("trials", trials), ("draws", draws)):
+        if value < 1:
+            raise ParameterDomainError(f"{flag} must be at least 1, got {value}")
     if name == "metric":
         return metric_checks(seed, trials=trials, tol=tol)
     if name == "ot":

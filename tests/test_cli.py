@@ -121,6 +121,29 @@ def test_huge_integer_time_is_exit_2(tmp_path, capsys):
     assert "sample times" in capsys.readouterr().err
 
 
+def test_overflowing_pair_cost_is_exit_2(tmp_path, capsys):
+    # the ground 1e200/sqrt(2) is finite, its square is not
+    big = tmp_path / "big.json"
+    big.write_text('{"points": [[0, 1e200]]}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"points": []}')
+    for q in ("1", "2", "inf"):
+        assert main(["dist", str(big), str(empty), "--p", "2", "--q", q]) == 2
+        assert "left slot 0 pairs with right slot 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "-1", "--draws", "-5"],
+    ["--trials", "0"],
+    ["--draws", "0"],
+])
+def test_verify_rejects_empty_trials_or_draws(flags, capsys):
+    assert main(["verify", "metric", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_size_guard_is_exit_3(tmp_path, capsys):
     frame = {"points": [[float(i), float(i) + 1.0] for i in range(5)]}
     curve = {"times": [0.0, 1.0], "frames": [frame, frame]}

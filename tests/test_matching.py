@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdg import (
+    AugmentedProblem,
     Diagram,
     MetricParams,
     Point,
@@ -102,6 +105,80 @@ def test_witness_reprices_bitwise_beyond_the_factorial_oracles():
             assert witness.total == value
             if p == math.inf:
                 assert value in build_augmented_problem(x, y, params).ground
+
+
+# distance(x, y, MetricParams(inf, q)) on random_sized_pair(default_rng(67), 20, 20):
+# value (as float.hex) and witness assignment, frozen from the solver that
+# binary-searched every distinct entry with a cold Kuhn pass per probe
+BOTTLENECK_WITNESS_20 = {
+    1.0: ("0x1.2520fae72b76ap+1", (
+        4, 13, 39, 1, 38, 37, 0, 16, 36, 35, 8, 11, 34, 19, 33, 2, 18, 10, 9, 32,
+        31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 12, 3, 15, 7, 6, 14, 5, 17,
+    )),
+    2.0: ("0x1.d2fcc7803d737p+0", (
+        1, 13, 39, 16, 38, 37, 4, 36, 35, 34, 8, 11, 33, 19, 32, 2, 18, 10, 9, 31,
+        30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 0, 3, 15, 7, 12, 5, 17, 6, 14,
+    )),
+    math.inf: ("0x1.75df832a8311cp+0", (
+        39, 11, 38, 37, 36, 35, 18, 34, 33, 32, 31, 8, 30, 29, 28, 2, 1, 10, 13, 27,
+        26, 25, 24, 23, 22, 21, 20, 12, 3, 15, 7, 0, 19, 4, 6, 14, 5, 16, 17, 9,
+    )),
+}
+
+
+def test_bottleneck_witness_frozen():
+    x, y = random_sized_pair(np.random.default_rng(67), 20, 20)
+    for q, (value_hex, assignment) in BOTTLENECK_WITNESS_20.items():
+        value, witness = distance(x, y, MetricParams(math.inf, q))
+        assert value.hex() == value_hex
+        assert witness.assignment == assignment
+
+
+def test_bottleneck_value_is_the_smallest_feasible_entry():
+    rng = np.random.default_rng(71)
+    for nx, ny in ((20, 23), (48, 55), (100, 96)):
+        x, y = random_sized_pair(rng, nx, ny)
+        for q in GRID_Q:
+            params = MetricParams(math.inf, q)
+            value, witness = distance(x, y, params)
+            prob = build_augmented_problem(x, y, params)
+            assert value in prob.ground
+            assert matching_cost(x, y, witness, params) == value
+            # no perfect matching uses only entries below the value
+            below = maximum_bipartite_matching(csr_matrix(prob.ground < value), perm_type="column")
+            assert (below < 0).any()
+
+
+def test_bottleneck_survives_one_long_augmenting_chain():
+    # Row i < n - 1 may take column i or i + 1, the last row only column 0.
+    # Rows in order take their own column until the last row, whose one
+    # augmenting path shifts every other row over by one column.
+    n = 1600
+    ground = np.full((n, n), 2.0)
+    rows = np.arange(n - 1)
+    ground[rows, rows] = 0.0
+    ground[rows, rows + 1] = 0.0
+    ground[n - 1, 0] = 0.0
+    params = MetricParams(math.inf, 2.0)
+    witness = solve_assignment_bottleneck(AugmentedProblem(Diagram(), Diagram(), params, ground, ground, 1.0))
+    assert witness.total == 0.0
+    assert witness.assignment == tuple(range(1, n)) + (0,)
+
+
+def test_bottleneck_skips_nan_ground_entries():
+    # near the top of double range a coordinate difference overflows to inf,
+    # and its l^q norm at q = 1.5 or 3 is NaN; a NaN entry is never an edge,
+    # and scipy's minimum-sum assignment rejects the matrix
+    x = Diagram.from_pairs([(-9.5e307, -9.4e307), (9.6e307, 9.9e307), (9.5e307, 9.8e307)])
+    y = Diagram.from_pairs([(9.5e307, 9.8e307), (9.8e307, 1e308)])
+    for q, value_hex in ((1.5, "0x1.b205c6136097cp+1017"), (3.0, "0x1.587be2c753d0cp+1017")):
+        params = MetricParams(math.inf, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, witness = distance(x, y, params)
+            assert np.isnan(build_augmented_problem(x, y, params).ground).any()
+        assert value.hex() == value_hex
+        assert witness.assignment == (4, 3, 2, 1, 0)
+        assert matching_cost(x, y, witness, params) == value
 
 
 def test_four_point_distance_is_four():
