@@ -8,9 +8,11 @@ package ignore indices; they are bookkeeping, not geometry.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,6 +37,42 @@ def parse_extended(text: str) -> float:
     return value
 
 
+def _check_point(birth, death) -> tuple[float, float]:
+    """birth and death as floats; ValidationError unless they make a finite
+    point strictly above the diagonal."""
+    try:
+        b = float(birth)
+        d = float(death)
+    except OverflowError as exc:
+        raise ValidationError(f"point coordinates must fit in a float: {exc}") from exc
+    if not (math.isfinite(b) and math.isfinite(d)):
+        raise ValidationError(f"point ({birth}, {death}) has non-finite coordinates")
+    if not d > b:
+        raise ValidationError(f"point ({b}, {d}) is not strictly above the diagonal")
+    return b, d
+
+
+def _first_invalid(coords: np.ndarray) -> int:
+    """Position of the first row of an (n, 2) float array that _check_point
+    rejects, or n when there is none."""
+    ok = np.isfinite(coords).all(axis=1) & (coords[:, 1] > coords[:, 0])
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def _check_distinct(coords: np.ndarray, indices: tuple[int, ...]) -> None:
+    """ValidationError when two points share coordinates and index."""
+    if len(set(indices)) == len(indices):
+        return
+    seen = set()
+    for key in zip(*coords.T.tolist(), indices):
+        if key in seen:
+            raise ValidationError(
+                f"points at ({key[0]}, {key[1]}) share index {key[2]}; "
+                "coincident points must carry distinct indices"
+            )
+        seen.add(key)
+
+
 @dataclass(frozen=True)
 class Point:
     """One off-diagonal point of a diagram."""
@@ -44,19 +82,7 @@ class Point:
     index: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            birth = float(self.birth)
-            death = float(self.death)
-        except OverflowError as exc:
-            raise ValidationError(f"point coordinates must fit in a float: {exc}") from exc
-        if not (math.isfinite(birth) and math.isfinite(death)):
-            raise ValidationError(
-                f"point ({self.birth}, {self.death}) has non-finite coordinates"
-            )
-        if not death > birth:
-            raise ValidationError(
-                f"point ({birth}, {death}) is not strictly above the diagonal"
-            )
+        birth, death = _check_point(self.birth, self.death)
         object.__setattr__(self, "birth", birth)
         object.__setattr__(self, "death", death)
         object.__setattr__(self, "index", int(self.index))
@@ -69,27 +95,43 @@ class Point:
         return (self.birth, self.death)
 
 
-@dataclass(frozen=True)
+_GEOMETRY = attrgetter("birth", "death")
+
+
 class Diagram:
-    """An immutable finite multiset of off-diagonal points."""
+    """An immutable finite multiset of off-diagonal points.
 
-    points: tuple[Point, ...] = ()
+    The coordinates are held in one read-only (n, 2) float array and the
+    indices in a tuple.  Point objects are built only when .points is read,
+    and a diagram made from Points keeps those.
+    """
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
+    __slots__ = ("_coords", "_indices", "_points", "_key")
+
+    def __init__(self, points=()) -> None:
+        pts = tuple(points)
         for p in pts:
             if not isinstance(p, Point):
                 raise ValidationError(f"diagram entries must be Point, got {p!r}")
-        seen: dict[tuple[float, float, int], int] = {}
-        for p in pts:
-            key = (p.birth, p.death, p.index)
-            if key in seen:
-                raise ValidationError(
-                    f"points at ({p.birth}, {p.death}) share index {p.index}; "
-                    "coincident points must carry distinct indices"
-                )
-            seen[key] = 1
-        object.__setattr__(self, "points", pts)
+        flat = itertools.chain.from_iterable(map(_GEOMETRY, pts))
+        coords = np.fromiter(flat, float, 2 * len(pts)).reshape(-1, 2)
+        indices = tuple([p.index for p in pts])
+        _check_distinct(coords, indices)
+        self._set(coords, indices, pts)
+
+    def _set(self, coords: np.ndarray, indices: tuple[int, ...], points) -> None:
+        coords.flags.writeable = False
+        self._coords = coords
+        self._indices = indices
+        self._points = points
+        self._key = None
+
+    @classmethod
+    def _trusted(cls, coords: np.ndarray, indices: tuple[int, ...]) -> "Diagram":
+        """A diagram over validated coordinates and indices, which it keeps."""
+        diagram = cls.__new__(cls)
+        diagram._set(coords, indices, None)
+        return diagram
 
     @classmethod
     def from_pairs(cls, pairs) -> "Diagram":
@@ -105,28 +147,54 @@ class Diagram:
                 raise ValidationError(f"row {pos} has {len(row)} entries, expected 2 or 3")
         return cls(tuple(pts))
 
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = tuple(
+                Point(b, d, i) for (b, d), i in zip(self._coords.tolist(), self._indices)
+            )
+        return self._points
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._indices)
 
     def __iter__(self):
         return iter(self.points)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._indices == other._indices and np.array_equal(self._coords, other._coords)
+
+    def __hash__(self) -> int:
+        return hash((self._indices, *self._coords.ravel().tolist()))
+
+    def __repr__(self) -> str:
+        return f"Diagram(points={self.points!r})"
+
     def geometry(self) -> np.ndarray:
-        """Point coordinates as an (n, 2) array, indices dropped."""
-        if not self.points:
-            return np.zeros((0, 2))
-        return np.array([[p.birth, p.death] for p in self.points], dtype=float)
+        """Point coordinates as a read-only (n, 2) array, indices dropped."""
+        return self._coords
 
     def multiset_key(self) -> tuple:
         """Canonical geometric key: sorted coordinates, indices ignored."""
-        return tuple(sorted((p.birth, p.death) for p in self.points))
+        if self._key is None:
+            self._key = tuple(sorted(map(tuple, self._coords.tolist())))
+        return self._key
+
+    def _moved(self, coords: np.ndarray) -> "Diagram":
+        bad = _first_invalid(coords)
+        if bad < len(coords):
+            _check_point(*coords[bad].tolist())  # raises: the row failed the bulk check
+        _check_distinct(coords, self._indices)
+        return Diagram._trusted(coords, self._indices)
 
     def scaled(self, c: float) -> "Diagram":
-        return Diagram(tuple(Point(c * p.birth, c * p.death, p.index) for p in self.points))
+        return self._moved(self._coords * c)
 
     def shifted(self, a: float) -> "Diagram":
         """Translate along the diagonal direction (a, a)."""
-        return Diagram(tuple(Point(p.birth + a, p.death + a, p.index) for p in self.points))
+        return self._moved(self._coords + a)
 
 
 @dataclass(frozen=True)
@@ -212,38 +280,89 @@ def parse_diagram(data) -> Diagram:
     return diagram_from_dict(obj)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _row_fault(pos: int, row) -> ParseError | None:
+    """The ParseError of a row that is not 2 or 3 numbers with an integral
+    index, or None."""
+    if not isinstance(row, list) or len(row) not in (2, 3):
+        return ParseError(f'"points" row {pos} must be [birth, death] or [birth, death, index]')
+    for entry in row:
+        # the exact types json decodes numbers to pass at once; bool is an
+        # int subclass, and no number here
+        if type(entry) not in _NUMBER_TYPES and (
+            isinstance(entry, bool) or not isinstance(entry, (int, float))
+        ):
+            return ParseError(f'"points" row {pos} holds a non-numeric entry: {entry!r}')
+    # is_integer() is False for inf and nan, which int() cannot take
+    if len(row) == 3 and isinstance(row[2], float) and not row[2].is_integer():
+        return ParseError(f'"points" row {pos} has a non-integer index: {row[2]!r}')
+    return None
+
+
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def diagram_from_dict(obj) -> Diagram:
-    """Build a diagram from decoded diagram JSON; inverts diagram_to_dict exactly."""
+    """Build a diagram from decoded diagram JSON; inverts diagram_to_dict exactly.
+
+    A malformed or invalid document raises the error of its first offending
+    row: type and length checks run row by row, up to the first malformed
+    row, and the coordinates of the rows before it are converted and checked
+    in bulk.
+    """
     if not isinstance(obj, dict) or "points" not in obj:
         raise ParseError('diagram JSON must be an object with a "points" field')
     rows = obj["points"]
     if not isinstance(rows, list):
         raise ParseError('"points" must be a list of [birth, death] or [birth, death, index] rows')
-    pts = []
+    stop, fault, explicit = len(rows), None, False
     for pos, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) not in (2, 3):
-            raise ParseError(f'"points" row {pos} must be [birth, death] or [birth, death, index]')
-        for entry in row:
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ParseError(f'"points" row {pos} holds a non-numeric entry: {entry!r}')
-        # is_integer() is False for inf and nan, which int() cannot take
-        if len(row) == 3 and isinstance(row[2], float) and not row[2].is_integer():
-            raise ParseError(f'"points" row {pos} has a non-integer index: {row[2]!r}')
-        index = int(row[2]) if len(row) == 3 else pos
+        if (type(row) is list and len(row) == 2
+                and type(row[0]) in _NUMBER_TYPES and type(row[1]) in _NUMBER_TYPES):
+            continue  # the common row, well formed at a glance
+        fault = _row_fault(pos, row)
+        if fault is not None:
+            stop = pos
+            break
+        explicit |= len(row) == 3
+    pairs = [row[:2] for row in rows[:stop]] if explicit else rows[:stop]
+    try:
+        coords = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs))
+    except OverflowError:
+        # an int too large for a float makes its row the first invalid one
+        stop = next(pos for pos, pair in enumerate(pairs) if not all(map(_fits_float, pair)))
+        fault = None
+        pairs = pairs[:stop]
+        coords = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs))
+    coords = coords.reshape(-1, 2)
+    bad = _first_invalid(coords)
+    if bad < len(rows):
+        if bad == stop and fault is not None:
+            raise fault
         try:
-            pts.append(Point(row[0], row[1], index))
+            _check_point(*rows[bad][:2])  # raises: the row failed the bulk check
         except ValidationError as exc:
-            raise ValidationError(f'"points" row {pos}: {exc}') from exc
-    return Diagram(tuple(pts))
+            raise ValidationError(f'"points" row {bad}: {exc}') from exc
+    if not explicit:
+        return Diagram._trusted(coords, tuple(range(len(rows))))
+    indices = tuple(int(row[2]) if len(row) == 3 else pos for pos, row in enumerate(rows))
+    _check_distinct(coords, indices)
+    return Diagram._trusted(coords, indices)
 
 
 def diagram_to_dict(diagram: Diagram) -> dict:
     """Plain-JSON representation; indices are emitted only when they carry information."""
-    positional = all(p.index == pos for pos, p in enumerate(diagram.points))
-    if positional:
-        rows = [[p.birth, p.death] for p in diagram.points]
-    else:
-        rows = [[p.birth, p.death, p.index] for p in diagram.points]
+    rows = diagram.geometry().tolist()
+    indices = diagram._indices
+    if indices != tuple(range(len(rows))):
+        rows = [[b, d, i] for (b, d), i in zip(rows, indices)]
     return {"points": rows}
 
 

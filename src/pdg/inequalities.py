@@ -34,7 +34,7 @@ def _pair(v, w) -> tuple[np.ndarray, np.ndarray]:
 
 def _powsum(v: np.ndarray, p: float) -> float:
     # ||v||_p^p
-    return math.fsum(abs(float(x)) ** p for x in v)
+    return math.fsum(abs(x) ** p for x in v.tolist())
 
 
 def _sqnorm(v: np.ndarray, p: float) -> float:
@@ -128,8 +128,8 @@ def jensen_partition_slack(amounts, times, p: float) -> float:
     gaps = np.diff(t)
     if np.any(gaps <= 0.0):
         raise ParameterDomainError("times must be strictly increasing")
-    lhs = math.fsum(float(x) for x in a) ** p / float(t[-1] - t[0]) ** (p - 1.0)
-    rhs = math.fsum(float(x) ** p / float(g) ** (p - 1.0) for x, g in zip(a, gaps))
+    lhs = math.fsum(a.tolist()) ** p / float(t[-1] - t[0]) ** (p - 1.0)
+    rhs = math.fsum(x ** p / g ** (p - 1.0) for x, g in zip(a.tolist(), gaps.tolist()))
     return rhs - lhs
 
 

@@ -17,7 +17,8 @@ so the reported bottleneck value is always an exact matrix entry.  The
 search is bracketed between the largest row or column minimum and the
 largest entry of the minimum-sum assignment, tries the lower bound first,
 and binary-searches the distinct entries in between with Kuhn's augmenting
-paths, warm-started from that assignment and run on an explicit stack.  The
+paths over one column bitmask per row, warm-started from that assignment
+and run on an explicit stack.  The
 witness is the matching a cold Kuhn pass finds at the optimum, rows in
 order and each row's columns ascending, whatever the search probed.
 """
@@ -140,9 +141,17 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
     if params.p == math.inf:
         return AugmentedProblem(x, y, params, ground, ground, 1.0)
     scale = float(ground.max()) if n else 0.0
+    finite = None
+    if not math.isfinite(scale):
+        # an overflowed norm (inf, or nan from _qnorm): scale by the finite
+        # entries and price the others out, which the solver accepts as +inf
+        finite = np.isfinite(ground)
+        scale = float(ground.max(where=finite, initial=0.0))
     if scale == 0.0:
         scale = 1.0
     cost = (ground / scale) ** params.p
+    if finite is not None:
+        cost[~finite] = math.inf
     return AugmentedProblem(x, y, params, ground, cost, scale)
 
 
@@ -235,45 +244,48 @@ def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
     return _solved(prob, cols)
 
 
-def _threshold_adjacency(ground: np.ndarray, tau: float) -> list[list[int]]:
-    """For each row, the columns of its entries <= tau in ascending order."""
-    mask = ground <= tau
-    flat = np.nonzero(mask)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+def _threshold_adjacency(ground: np.ndarray, tau: float) -> list[int]:
+    """For each row, the columns of its entries <= tau as a bitmask (bit j
+    for column j)."""
+    packed = np.packbits(ground <= tau, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
 
 
-def _augment(root: int, adj: list[list[int]], row_of: list[int], seen: list[int]) -> bool:
+def _augment(root: int, adj: list[int], row_of: list[int], unseen: int) -> bool:
     """Kuhn's depth-first search for an augmenting path from the free row root.
 
     Rows try their columns in ascending order and a column is entered at most
-    once per root (seen[j] == root), the order of the textbook recursion, kept
-    on an explicit stack so that a long chain cannot exhaust Python's.  On
-    success the path is flipped into row_of (the row matched to each column).
+    once per root (unseen, a bitmask of the columns not yet entered, starts
+    full for every root), the order of the textbook recursion, kept on an
+    explicit stack so that a long chain cannot exhaust Python's.  A row has
+    entered or skipped every column below the last one it tried, so its next
+    column is its lowest one still unseen.  On success the path is flipped
+    into row_of (the row matched to each column).
     """
     rows = [root]
     cols: list[int] = []
-    untried = [iter(adj[root])]
-    while untried:
-        for j in untried[-1]:
-            if seen[j] != root:
-                break
-        else:
-            untried.pop()
+    row = root
+    while True:
+        avail = adj[row] & unseen
+        if not avail:
             rows.pop()
-            if cols:
-                cols.pop()
+            if not rows:
+                return False
+            cols.pop()
+            row = rows[-1]
             continue
-        seen[j] = root
+        bit = avail & -avail
+        unseen ^= bit
+        j = bit.bit_length() - 1
         cols.append(j)
-        owner = row_of[j]
-        if owner < 0:
+        row = row_of[j]
+        if row < 0:
             for i, c in zip(rows, cols):
                 row_of[c] = i
             return True
-        rows.append(owner)
-        untried.append(iter(adj[owner]))
-    return False
+        rows.append(row)
 
 
 def _perfect_matching_under(ground: np.ndarray, tau: float, start=None):
@@ -292,9 +304,9 @@ def _perfect_matching_under(ground: np.ndarray, tau: float, start=None):
         for i, j in zip(np.flatnonzero(kept).tolist(), start[kept].tolist()):
             row_of[j] = i
         free = np.flatnonzero(~kept).tolist()
-    seen = [-1] * n
+    every = (1 << n) - 1
     for i in free:
-        if not _augment(i, adj, row_of, seen):
+        if not _augment(i, adj, row_of, every):
             return None
     assignment = [-1] * n
     for j, i in enumerate(row_of):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pdg.cli import main
@@ -130,6 +131,25 @@ def test_overflowing_pair_cost_is_exit_2(tmp_path, capsys):
     for q in ("1", "2", "inf"):
         assert main(["dist", str(big), str(empty), "--p", "2", "--q", q]) == 2
         assert "left slot 0 pairs with right slot 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_overflowing_real_pair_ground_is_priced_out(tmp_path, capsys, q):
+    # the real pair's l^q norm overflows, so the largest ground entry is inf;
+    # the distance sends both points to the diagonal and is finite.  At p = 1
+    # the printed pair costs, the grounds themselves, are finite too.
+    x = tmp_path / "x.json"
+    x.write_text('{"points": [[-9.5e307, -9.4e307]]}')
+    y = tmp_path / "y.json"
+    y.write_text('{"points": [[9.5e307, 9.8e307]]}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["dist", str(x), str(y), "--p", "1", "--q", q]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    factor = 2.0 ** (1.0 / float(q) - 1.0)
+    persistences = (-9.4e307 - -9.5e307, 9.8e307 - 9.5e307)
+    assert payload["assignment"] == [1, 0]
+    assert payload["pair_costs"] == [factor * pers for pers in persistences]
+    assert payload["value"] == pytest.approx(factor * sum(persistences), rel=1e-15)
 
 
 @pytest.mark.parametrize("flags", [

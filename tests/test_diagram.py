@@ -21,6 +21,7 @@ from pdg import (
     parse_extended,
     serialize_diagram,
 )
+from pdg.diagram import diagram_from_dict
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-1e6, max_value=1e6)
 
@@ -188,3 +189,89 @@ def test_multiset_key_ignores_order_and_indices():
     a = Diagram((Point(0.0, 1.0, 0), Point(2.0, 3.0, 1)))
     b = Diagram((Point(2.0, 3.0, 7), Point(0.0, 1.0, 3)))
     assert a.multiset_key() == b.multiset_key()
+
+
+def reference_parse(rows):
+    """The row-by-row parse: type checks, then one validated Point per row,
+    in row order, then the duplicate check."""
+    pts = []
+    for pos, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) not in (2, 3):
+            raise ParseError(f'"points" row {pos} must be [birth, death] or [birth, death, index]')
+        for entry in row:
+            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                raise ParseError(f'"points" row {pos} holds a non-numeric entry: {entry!r}')
+        if len(row) == 3 and isinstance(row[2], float) and not row[2].is_integer():
+            raise ParseError(f'"points" row {pos} has a non-integer index: {row[2]!r}')
+        index = int(row[2]) if len(row) == 3 else pos
+        try:
+            pts.append(Point(row[0], row[1], index))
+        except ValidationError as exc:
+            raise ValidationError(f'"points" row {pos}: {exc}') from exc
+    seen = set()
+    for p in pts:
+        key = (p.birth, p.death, p.index)
+        if key in seen:
+            raise ValidationError(
+                f"points at ({p.birth}, {p.death}) share index {p.index}; "
+                "coincident points must carry distinct indices"
+            )
+        seen.add(key)
+    return pts
+
+
+def parse_outcome(parse, arg):
+    try:
+        return parse(arg)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+VALID_ROWS = [
+    [0, 1], [0.5, 2.25], [-0.0, 1.0], [0.0, 1.0], [5e-324, 1e-323], [-1e-320, -0.0],
+    [2**53 + 1, 2**54 + 3], [2**64, 2**64 + 2**12], [-(2**64), 3], [0, 1, 0], [0, 1, 7],
+    [-0.0, 1, 7], [0.0, 1.0, 3.0], [0, 1, -3], [0, 1, 2**64], [0, 1, 10**400],
+    [1e300, 1.5e300, 1e300],
+]
+BAD_ROWS = [
+    # not a point
+    [2, 1], [1, 1], [0, math.nan], [math.inf, 1], [-math.inf, 0], [10**400, 1], [0, 10**400],
+    [-(10**400), 0], [math.nan, 10**400],
+    # malformed
+    [True, 1], [0, False], ["x", 1], [None, 1], [[0], 1], [0, [1]], [0, 1, 0.5], [0, 1, math.nan],
+    [0, 1, math.inf], [0, 1, "i"], [0, 1, True], [0], [0, 1, 2, 3], [], "row", 3, None, {"a": 1},
+]
+
+
+def test_parse_matches_the_row_by_row_reference():
+    cases = [
+        [],
+        [[2, 1], [0, "x"]],  # row 0 is below the diagonal, row 1 malformed: row 0 is named
+        [[0, "x"], [2, 1]],
+        [[0, 1], [0, 1, 0]],  # row 0 takes index 0 positionally
+        [[0.0, 1, 4], [-0.0, 1.0, 4]],  # -0.0 and 0.0 coincide
+        [[0, 1, 2**64], [0, 1, 2**64]],
+        [[0, 1, 10**400], [0, 1, 10**400 + 1]],
+        [[1, 2], [0, 10**400], [3, 2]],
+        [[1, 2], [3, 2], [0, 10**400]],
+        [[1, 2], [0, 10**400, 0.5]],
+    ]
+    rng = np.random.default_rng(83)
+    for _ in range(3000):
+        # mostly valid rows, so that later faults and duplicates are reached
+        pools = [VALID_ROWS if rng.random() < 0.7 else BAD_ROWS for _ in range(rng.integers(0, 7))]
+        cases.append([pool[rng.integers(len(pool))] for pool in pools])
+    for rows in cases:
+        expected = parse_outcome(reference_parse, rows)
+        for got in (
+            parse_outcome(lambda r: parse_diagram(json.dumps({"points": r})), rows),
+            parse_outcome(lambda r: diagram_from_dict({"points": r}), rows),
+        ):
+            if isinstance(expected, tuple):
+                assert got == expected, rows
+                continue
+            assert isinstance(got, Diagram), rows
+            coords = np.array([(p.birth, p.death) for p in expected], dtype=float).reshape(-1, 2)
+            assert got.geometry().tobytes() == coords.tobytes(), rows
+            assert [p.index for p in got.points] == [p.index for p in expected], rows
+            assert got == Diagram(tuple(expected))

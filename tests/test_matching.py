@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -24,6 +25,7 @@ from pdg import (
     solve_assignment_sum,
 )
 from pdg.instances import four_point_pair, index_twins, random_pair, single_tall_point
+from pdg.matching import _perfect_matching_under
 
 GRID_P = (1.0, 1.5, 2.0, 3.0, math.inf)
 GRID_Q = (1.0, 2.0, math.inf)
@@ -163,6 +165,55 @@ def test_bottleneck_survives_one_long_augmenting_chain():
     witness = solve_assignment_bottleneck(AugmentedProblem(Diagram(), Diagram(), params, ground, ground, 1.0))
     assert witness.total == 0.0
     assert witness.assignment == tuple(range(1, n)) + (0,)
+
+
+def reference_perfect_matching_under(ground, tau, start=None):
+    """Kuhn's search on column lists: a visited set per root, rows in order,
+    each row's columns ascending, a recursive augmenting path."""
+    n = ground.shape[0]
+    adj = [np.flatnonzero(row <= tau).tolist() for row in ground]
+    row_of = [-1] * n
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    free = range(n)
+    if start is not None:
+        free = []
+        for i, j in enumerate(start.tolist()):
+            if ground[i, j] <= tau:
+                row_of[j] = i
+            else:
+                free.append(i)
+    for i in free:
+        if not augment(i, set()):
+            return None
+    assignment = [-1] * n
+    for j, i in enumerate(row_of):
+        assignment[i] = j
+    return tuple(assignment)
+
+
+def test_threshold_search_matches_the_column_list_reference():
+    rng = np.random.default_rng(89)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        n = int(rng.integers(1, 41))
+        # few distinct integer entries, so that thresholds fall on many ties
+        high = int(rng.integers(2, 7))
+        ground = rng.integers(0, high, size=(n, n)).astype(float)
+        tau = float(rng.integers(0, high - 1))
+        for start in (None, rng.permutation(n), linear_sum_assignment(ground)[1]):
+            expected = reference_perfect_matching_under(ground, tau, start)
+            assert _perfect_matching_under(ground, tau, start) == expected
+            outcomes[expected is not None] += 1
+    assert outcomes[True] > 600 and outcomes[False] > 100
 
 
 def test_bottleneck_skips_nan_ground_entries():
