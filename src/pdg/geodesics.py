@@ -25,7 +25,6 @@ from .errors import (
 )
 from .gallery import gallery_frame
 from .matching import (
-    FACTORIAL_GUARD,
     Matching,
     distance,
     enumerate_optimal_matchings,

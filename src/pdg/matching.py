@@ -106,19 +106,23 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)
 _qnorm_ufunc = np.frompyfunc(_qnorm, 3, 1)
 
 
-def _real_grounds(diff: np.ndarray, q: float) -> np.ndarray:
-    """Elementwise l^q norms of the coordinate differences in diff[..., 0:2],
-    each bitwise what _qnorm gives."""
-    a = np.abs(diff)
-    ax = a[..., 0]
-    ay = a[..., 1]
-    if q == 1.0:
-        return ax + ay
-    if q == math.inf:
-        return np.maximum(ax, ay)
-    if q == 2.0:
-        return _hypot(ax, ay).astype(float)
-    return _qnorm_ufunc(ax, ay, q).astype(float)
+def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
+    """Elementwise l^q norms of the differences of the (broadcast) coordinate
+    rows xs - ys, each bitwise what _qnorm gives.  Near +-1e308 a difference
+    overflows to inf, and _qnorm turns an infinite difference into NaN at q
+    other than 1, 2 and inf; both are priced by the callers, so numpy's
+    warnings about them are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(xs - ys)
+        ax = a[..., 0]
+        ay = a[..., 1]
+        if q == 1.0:
+            return ax + ay
+        if q == math.inf:
+            return np.maximum(ax, ay)
+        if q == 2.0:
+            return _hypot(ax, ay).astype(float)
+        return _qnorm_ufunc(ax, ay, q).astype(float)
 
 
 def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
@@ -135,7 +139,7 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
     xs = x.geometry()
     ys = y.geometry()
     ground = np.zeros((n, n), dtype=float)
-    ground[:nx, :ny] = _real_grounds(xs[:, None] - ys[None, :], q)
+    ground[:nx, :ny] = _real_grounds(xs[:, None], ys[None, :], q)
     ground[:nx, ny:] = _diagonal_grounds(xs, q)[:, None]
     ground[nx:, :ny] = _diagonal_grounds(ys, q)
     if params.p == math.inf:
@@ -178,7 +182,7 @@ def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[fl
     partner = cols[:nx]
     real = partner < ny
     grounds[:nx] = _diagonal_grounds(xs, q)
-    grounds[:nx][real] = _real_grounds(xs[real] - ys[partner[real]], q)
+    grounds[:nx][real] = _real_grounds(xs[real], ys[partner[real]], q)
     # a diagonal copy takes a point of Y to the diagonal, or else another copy
     partner = cols[nx:]
     real = partner < ny
@@ -377,33 +381,34 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
 
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
+    """Every permutation of range(n), one per row of an (n!, n) array."""
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
-def _guard(n: int, what: str) -> None:
+def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
+             what: str) -> tuple[AugmentedProblem, np.ndarray, np.ndarray]:
+    """The factorial oracle: the problem, all n! slot permutations and the
+    solver objective of each (the sum of its cost entries for finite p, their
+    maximum for p = inf).  what names the caller in the size guard's message.
+    """
+    n = len(x) + len(y)
     if n > FACTORIAL_GUARD:
         raise SizeGuardError(
             f"{what} enumerates all {n}! slot permutations and accepts at most "
             f"{FACTORIAL_GUARD} combined points (got {n})"
         )
+    prob = build_augmented_problem(x, y, params)
+    perms = _all_permutations(n)
+    selected = prob.cost[np.arange(n), perms]
+    if params.p == math.inf:
+        return prob, perms, selected.max(axis=1, initial=0.0)
+    return prob, perms, selected.sum(axis=1)
 
 
 def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
     """Ground-truth distance by exhausting every slot permutation."""
-    n = len(x) + len(y)
-    _guard(n, "brute_force_distance")
-    if n == 0:
-        return 0.0
-    prob = build_augmented_problem(x, y, params)
-    perms = _all_permutations(n)
-    selected = prob.cost[np.arange(n)[None, :], perms]
-    if params.p == math.inf:
-        totals = selected.max(axis=1)
-    else:
-        totals = selected.sum(axis=1)
-    return _solved(prob, perms[int(np.argmin(totals))]).total
+    prob, perms, objective = _exhaust(x, y, params, "brute_force_distance")
+    return _solved(prob, perms[int(np.argmin(objective))]).total
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
@@ -413,20 +418,12 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
     shuffled among themselves describe the same geometric transport and are
     reported once.
     """
+    prob, perms, values = _exhaust(x, y, params, "enumerate_optimal_matchings")
+    if params.p != math.inf:
+        values = prob.scale * values ** (1.0 / params.p)
+    cutoff = float(values.min()) + params.tol
     nx = len(x)
     ny = len(y)
-    n = nx + ny
-    _guard(n, "enumerate_optimal_matchings")
-    if n == 0:
-        return [Matching((), (), 0.0)]
-    prob = build_augmented_problem(x, y, params)
-    perms = _all_permutations(n)
-    selected = prob.cost[np.arange(n)[None, :], perms]
-    if params.p == math.inf:
-        values = selected.max(axis=1)
-    else:
-        values = prob.scale * selected.sum(axis=1) ** (1.0 / params.p)
-    cutoff = float(values.min()) + params.tol
     out: list[Matching] = []
     seen: set[tuple[int, ...]] = set()
     for k in np.flatnonzero(values <= cutoff):

@@ -15,20 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Diagram, MetricParams
-from .errors import (
-    InvalidCouplingError,
-    ParameterDomainError,
-    SizeGuardError,
-    StructuralError,
-)
-from .matching import (
-    AugmentedProblem,
-    FACTORIAL_GUARD,
-    Matching,
-    _all_permutations,
-    build_augmented_problem,
-    distance,
-)
+from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
+from .matching import AugmentedProblem, Matching, _exhaust, _solved, distance
 
 MARGINAL_TOL = 1e-12
 
@@ -46,8 +34,10 @@ class Coupling:
             raise InvalidCouplingError(f"coupling matrix must be square, got shape {matrix.shape}")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise InvalidCouplingError(f"mass must be a positive real, got {self.mass}")
-        if matrix.size and float(matrix.min()) < 0.0:
-            raise InvalidCouplingError("coupling entries must be nonnegative")
+        # a failed >= 0 test, so that NaN, which fails every comparison, is caught
+        # too; an infinite entry fails the marginal check below
+        if matrix.size and not float(matrix.min()) >= 0.0:
+            raise InvalidCouplingError("coupling entries must be nonnegative, and not NaN")
         rows = matrix.sum(axis=1)
         cols = matrix.sum(axis=0)
         for label, sums in (("row", rows), ("column", cols)):
@@ -70,8 +60,7 @@ def coupling_from_matching(m: Matching) -> Coupling:
     """The permutation plan that moves each slot onto its matched slot."""
     n = len(m.assignment)
     matrix = np.zeros((n, n), dtype=float)
-    for i, j in enumerate(m.assignment):
-        matrix[i, j] = 1.0
+    matrix[np.arange(n), m.assignment] = 1.0
     return Coupling(matrix, 1.0)
 
 
@@ -91,20 +80,18 @@ def transport_cost(prob: AugmentedProblem, coupling: Coupling, p: float) -> floa
         raise StructuralError(
             f"coupling has {coupling.n} slots but the problem defines {prob.n}"
         )
-    support = []
-    for i in range(prob.n):
-        for j in range(prob.n):
-            weight = float(coupling.matrix[i, j])
-            if weight > 0.0:
-                support.append((float(prob.ground[i, j]), weight))
-    if not support:
+    support = np.nonzero(coupling.matrix > 0.0)
+    grounds = prob.ground[support].tolist()
+    weights = coupling.matrix[support].tolist()
+    if not grounds:
         return 0.0
-    scale = max(g for g, _ in support)
+    scale = max(grounds)
     if scale == 0.0:
         return 0.0
+    pairs = zip(grounds, weights)
     if p == 1.0:
-        return math.fsum(g * w for g, w in support)
-    return scale * math.fsum((g / scale) ** p * w for g, w in support) ** (1.0 / p)
+        return math.fsum(g * w for g, w in pairs)
+    return scale * math.fsum((g / scale) ** p * w for g, w in pairs) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -123,23 +110,11 @@ def verify_ot_equivalence(x: Diagram, y: Diagram, p: float, tol: float = 1e-9) -
     plan cost is monotone under convex combination at the p-th power level, so
     the exhaustive permutation minimum is the true infimum over all plans.
     """
-    n = len(x) + len(y)
-    if n > FACTORIAL_GUARD:
-        raise SizeGuardError(
-            f"verify_ot_equivalence enumerates all plans and accepts at most "
-            f"{FACTORIAL_GUARD} combined points (got {n})"
-        )
     params = MetricParams(p, 2.0, tol)
+    prob, perms, objective = _exhaust(x, y, params, "verify_ot_equivalence")
     assignment_value, _ = distance(x, y, params)
-    if n == 0:
-        return OtReport(assignment_value, 0.0, abs(assignment_value) <= tol)
-    prob = build_augmented_problem(x, y, params)
-    perms = _all_permutations(n)
-    powered = prob.cost[np.arange(n)[None, :], perms]
-    best = perms[int(np.argmin(powered.sum(axis=1)))]
-    matrix = np.zeros((n, n), dtype=float)
-    matrix[np.arange(n), best] = 1.0
-    coupling_min = transport_cost(prob, Coupling(matrix, 1.0), p)
+    best = _solved(prob, perms[int(np.argmin(objective))])
+    coupling_min = transport_cost(prob, coupling_from_matching(best), p)
     return OtReport(assignment_value, coupling_min, abs(assignment_value - coupling_min) <= tol)
 
 

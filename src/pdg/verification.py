@@ -30,11 +30,10 @@ from .instances import (
     random_pair,
     single_tall_point,
 )
-from .matching import brute_force_distance, distance, matching_cost
+from .matching import brute_force_distance, build_augmented_problem, distance, matching_cost
 from .ot import (
     Coupling,
     coupling_from_matching,
-    build_augmented_problem,
     random_doubly_stochastic,
     transport_cost,
     verify_ot_equivalence,

@@ -43,7 +43,7 @@ from pdg.instances import (
     random_pair,
     single_tall_point,
 )
-from pdg.verification import _grid_vector
+from pdg.verification import inequality_checks
 
 
 def announce(number, name, detail=""):
@@ -215,39 +215,23 @@ def test_criterion_10_convex_combinations_certify():
 
 
 def test_criterion_11_inequality_oracles():
-    rng = np.random.default_rng(3)
-    draws = 1000
-    low = math.inf
-
-    for p in (2.0, 2.5, 3.0, 4.0):
-        for _ in range(draws):
-            dim = int(rng.integers(1, 17))
-            low = min(low, clarkson_slack(_grid_vector(rng, dim), _grid_vector(rng, dim), p))
-    for p in (2.0, 2.5, 3.0, 4.0):
-        constant = 2.0 ** (2.0 - p)
-        for _ in range(draws):
-            dim = int(rng.integers(1, 17))
-            low = min(low, convexity_defect_p_slack(
-                _grid_vector(rng, dim), _grid_vector(rng, dim), 0.5, p, constant))
-    for p in (1.1, 1.5, 2.0):
-        for _ in range(draws):
-            dim = int(rng.integers(1, 17))
-            low = min(low, bcl_slack(_grid_vector(rng, dim), _grid_vector(rng, dim), p))
-    dyadic_ts = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
-    for p in (1.1, 1.5, 2.0):
-        for _ in range(draws):
-            dim = int(rng.integers(1, 17))
-            t = dyadic_ts[int(rng.integers(0, len(dyadic_ts)))]
-            low = min(low, convexity_defect_2_slack(
-                _grid_vector(rng, dim), _grid_vector(rng, dim), t, p))
-    for p in (1.5, 2.0, 3.0):
-        for _ in range(draws):
-            count = int(rng.integers(1, 9))
-            gaps = rng.integers(1, 1025, size=count).astype(float) / 1024.0
-            times = np.concatenate(([0.0], np.cumsum(gaps)))
-            amounts = rng.integers(0, 4097, size=count).astype(float) / 1024.0
-            low = min(low, jensen_partition_slack(amounts, times, p))
-    assert low >= -1e-12
+    # the verify suite's own checks: every family at 1000 draws per p, each
+    # family's lowest slack bounded by -1e-12, plus the suite's closed forms
+    checks = inequality_checks(seed=3, draws=1000)
+    assert [c for c in checks if not c.passed] == []
+    families = {
+        "ineq.clarkson": (2.0, 2.5, 3.0, 4.0),
+        "ineq.defect_p": (2.0, 2.5, 3.0, 4.0),
+        "ineq.bcl": (1.1, 1.5, 2.0),
+        "ineq.defect_2": (1.1, 1.5, 2.0),
+        "ineq.jensen": (1.5, 2.0, 3.0),
+    }
+    drawn = [c for c in checks if c.expected == ">= -1e-12"]
+    for name, ps in families.items():
+        labels = [c.params for c in drawn if c.name == name]
+        assert len(labels) == len(ps)
+        assert all(f"p={p:g}" in label for p, label in zip(ps, labels))
+    low = min(float(c.measured) for c in drawn)
 
     v = np.array([0.5, -0.75, 0.25])
     w = np.array([0.125, 2.0, -1.5])

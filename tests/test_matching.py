@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from pdg import (
     AugmentedProblem,
     Diagram,
+    Matching,
     MetricParams,
+    OtReport,
     Point,
     SizeGuardError,
     WrongSolverError,
@@ -21,8 +26,12 @@ from pdg import (
     enumerate_optimal_matchings,
     ground_norm,
     matching_cost,
+    matching_from_assignment,
+    random_doubly_stochastic,
     solve_assignment_bottleneck,
     solve_assignment_sum,
+    transport_cost,
+    verify_ot_equivalence,
 )
 from pdg.instances import four_point_pair, index_twins, random_pair, single_tall_point
 from pdg.matching import _perfect_matching_under
@@ -330,14 +339,136 @@ def test_enumeration_empty():
     matchings = enumerate_optimal_matchings(Diagram(), Diagram(), MetricParams(2.0, 2.0))
     assert len(matchings) == 1
     assert matchings[0].total == 0.0
+    for p in GRID_P:
+        for q in GRID_Q:
+            params = MetricParams(p, q)
+            assert enumerate_optimal_matchings(Diagram(), Diagram(), params) == [Matching((), (), 0.0)]
+            assert brute_force_distance(Diagram(), Diagram(), params) == 0.0
 
 
 def test_size_guard():
     big = Diagram.from_pairs([(float(i), float(i) + 1.0) for i in range(5)])
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"^brute_force_distance enumerates all 10! slot"):
         brute_force_distance(big, big, MetricParams(2.0, 2.0))
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"^enumerate_optimal_matchings enumerates all 10! slot"):
         enumerate_optimal_matchings(big, big, MetricParams(2.0, 2.0))
+    # the empty pair is the smallest input the guard lets through
+    assert brute_force_distance(Diagram(), Diagram(), MetricParams(2.0, 2.0)) == 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def reference_permutations(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def reference_brute_force(x, y, params):
+    """The exhaustive minimum, scanned on its own with its own empty case."""
+    n = len(x) + len(y)
+    if n == 0:
+        return 0.0
+    prob = build_augmented_problem(x, y, params)
+    perms = reference_permutations(n)
+    selected = prob.cost[np.arange(n)[None, :], perms]
+    totals = selected.max(axis=1) if params.p == math.inf else selected.sum(axis=1)
+    return matching_from_assignment(x, y, perms[int(np.argmin(totals))], params).total
+
+
+def reference_optimal_matchings(x, y, params):
+    """The tol-optimal matchings, one per geometric action, scanned on their own."""
+    nx, ny = len(x), len(y)
+    n = nx + ny
+    if n == 0:
+        return [Matching((), (), 0.0)]
+    prob = build_augmented_problem(x, y, params)
+    perms = reference_permutations(n)
+    selected = prob.cost[np.arange(n)[None, :], perms]
+    if params.p == math.inf:
+        values = selected.max(axis=1)
+    else:
+        values = prob.scale * selected.sum(axis=1) ** (1.0 / params.p)
+    cutoff = float(values.min()) + params.tol
+    out, seen = [], set()
+    for k in np.flatnonzero(values <= cutoff):
+        action = tuple(int(j) if j < ny else -1 for j in perms[k][:nx])
+        if action not in seen:
+            seen.add(action)
+            out.append(matching_from_assignment(x, y, perms[k], params))
+    return out
+
+
+def reference_transport_cost(prob, matrix, p):
+    """transport_cost over the plan's support, gathered entry by entry."""
+    support = [
+        (float(prob.ground[i, j]), float(matrix[i, j]))
+        for i in range(prob.n) for j in range(prob.n) if matrix[i, j] > 0.0
+    ]
+    if not support:
+        return 0.0
+    scale = max(g for g, _ in support)
+    if scale == 0.0:
+        return 0.0
+    if p == 1.0:
+        return math.fsum(g * w for g, w in support)
+    return scale * math.fsum((g / scale) ** p * w for g, w in support) ** (1.0 / p)
+
+
+def reference_ot(x, y, p, tol=1e-9):
+    """verify_ot_equivalence with its own scan and its own permutation matrix."""
+    params = MetricParams(p, 2.0, tol)
+    value, _ = distance(x, y, params)
+    n = len(x) + len(y)
+    if n == 0:
+        return OtReport(value, 0.0, abs(value) <= tol)
+    prob = build_augmented_problem(x, y, params)
+    perms = reference_permutations(n)
+    best = perms[int(np.argmin(prob.cost[np.arange(n)[None, :], perms].sum(axis=1)))]
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), best] = 1.0
+    coupling_min = reference_transport_cost(prob, matrix, p)
+    return OtReport(value, coupling_min, abs(value - coupling_min) <= tol)
+
+
+def test_exhaustive_oracles_match_independent_scans():
+    # 0-7 slots, each at a random and at an even split; integer coordinates
+    # give exact ties, where the first optimal permutation in lexicographic
+    # order must win
+    rng = np.random.default_rng(61)
+    pairs = []
+    for n in list(range(8)) * 2:
+        for nx in sorted({int(rng.integers(0, n + 1)), n // 2}):
+            pairs.append(random_sized_pair(rng, nx, n - nx))
+            births = rng.integers(0, 3, n).astype(float)
+            deaths = births + rng.integers(1, 3, n)
+            rows = list(zip(births.tolist(), deaths.tolist()))
+            pairs.append((Diagram.from_pairs(rows[:nx]), Diagram.from_pairs(rows[nx:])))
+    for x, y in pairs:
+        for p in GRID_P:
+            for q in GRID_Q:
+                params = MetricParams(p, q)
+                assert brute_force_distance(x, y, params) == reference_brute_force(x, y, params)
+                assert enumerate_optimal_matchings(x, y, params) == reference_optimal_matchings(x, y, params)
+            if p == math.inf:
+                continue
+            assert verify_ot_equivalence(x, y, p) == reference_ot(x, y, p)
+            prob = build_augmented_problem(x, y, MetricParams(p, 2.0))
+            if prob.n:
+                plan = random_doubly_stochastic(rng, prob.n)
+                assert transport_cost(prob, plan, p) == reference_transport_cost(prob, plan.matrix, p)
+
+
+def test_overflowing_coordinates_stay_quiet():
+    x = Diagram.from_pairs([(-9.5e307, -9.4e307)])
+    y = Diagram.from_pairs([(9.5e307, 9.8e307)])
+    for p in (1.0, math.inf):
+        for q in (2.0, 3.0):
+            params = MetricParams(p, q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, witness = distance(x, y, params)
+                # the real pair's difference overflows: inf, or NaN through _qnorm at q = 3
+                assert not math.isfinite(matching_cost(x, y, Matching((0, 1), (), value), params))
+            assert value == matching_cost(x, y, witness, params)
+            assert math.isfinite(value)
 
 
 def test_symmetry_is_exact():

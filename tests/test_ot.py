@@ -8,9 +8,11 @@ from pdg import (
     Diagram,
     InvalidCouplingError,
     MetricParams,
+    OtReport,
     ParameterDomainError,
     SizeGuardError,
     StructuralError,
+    brute_force_distance,
     build_augmented_problem,
     coupling_from_matching,
     distance,
@@ -32,6 +34,11 @@ def test_coupling_validation():
     lopsided = np.array([[0.9, 0.0], [0.0, 1.0]])
     with pytest.raises(InvalidCouplingError, match="deviate"):
         Coupling(lopsided)
+    # a NaN entry fails every comparison, so no bound alone stops it
+    with pytest.raises(InvalidCouplingError, match="NaN"):
+        Coupling(np.array([[math.nan, 1.0], [1.0, math.nan]]))
+    with pytest.raises(InvalidCouplingError):
+        Coupling(np.array([[math.inf, 1.0], [1.0, math.inf]]))
 
 
 def test_coupling_accepts_tiny_marginal_noise():
@@ -109,14 +116,18 @@ def test_verify_ot_equivalence_random():
     rng = np.random.default_rng(17)
     for trial in range(20):
         x, y = random_pair(rng, max_total=5)
-        report = verify_ot_equivalence(x, y, (1.0, 2.0, 3.0)[trial % 3])
+        p = (1.0, 2.0, 3.0)[trial % 3]
+        report = verify_ot_equivalence(x, y, p)
         assert report.agree
+        assert report.coupling_min_value == brute_force_distance(x, y, MetricParams(p, 2.0))
 
 
 def test_verify_ot_equivalence_guard():
     big = Diagram.from_pairs([(float(i), float(i) + 1.0) for i in range(5)])
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"^verify_ot_equivalence enumerates all 10! slot"):
         verify_ot_equivalence(big, big, 2.0)
+    for p in (1.0, 2.0, 3.0):
+        assert verify_ot_equivalence(Diagram(), Diagram(), p) == OtReport(0.0, 0.0, True)
 
 
 def test_uniform_plan_spreads_mass_off_the_optimum():
