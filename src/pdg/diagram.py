@@ -182,19 +182,22 @@ class Diagram:
             self._key = tuple(sorted(map(tuple, self._coords.tolist())))
         return self._key
 
-    def _moved(self, coords: np.ndarray) -> "Diagram":
+    @classmethod
+    def _checked(cls, coords: np.ndarray, indices: tuple[int, ...]) -> "Diagram":
+        """A diagram over coordinates and indices checked in bulk, raising
+        what Diagram(points) raises for the first invalid row."""
         bad = _first_invalid(coords)
         if bad < len(coords):
             _check_point(*coords[bad].tolist())  # raises: the row failed the bulk check
-        _check_distinct(coords, self._indices)
-        return Diagram._trusted(coords, self._indices)
+        _check_distinct(coords, indices)
+        return cls._trusted(coords, indices)
 
     def scaled(self, c: float) -> "Diagram":
-        return self._moved(self._coords * c)
+        return Diagram._checked(self._coords * c, self._indices)
 
     def shifted(self, a: float) -> "Diagram":
         """Translate along the diagonal direction (a, a)."""
-        return self._moved(self._coords + a)
+        return Diagram._checked(self._coords + a, self._indices)
 
 
 @dataclass(frozen=True)
@@ -252,9 +255,17 @@ def ground_norm(v, q: float) -> float:
     return _qnorm(x, y, q)
 
 
+def _midpoint(birth: float, death: float) -> float:
+    """(birth + death) / 2: the halved sum where that is finite, and the sum of
+    the halves where the sum overflows, so finite coordinates give a finite
+    midpoint."""
+    mid = 0.5 * (birth + death)
+    return mid if math.isfinite(mid) else 0.5 * birth + 0.5 * death
+
+
 def diagonal_projection(point: Point) -> tuple[float, float]:
     """Closest diagonal point, which for every q is the midpoint projection."""
-    mid = 0.5 * (point.birth + point.death)
+    mid = _midpoint(point.birth, point.death)
     return (mid, mid)
 
 

@@ -15,7 +15,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .diagram import Diagram, MetricParams, Point, _qnorm, diagram_from_dict, diagram_to_dict
+import numpy as np
+
+from .diagram import Diagram, MetricParams, _midpoint, _qnorm, diagram_from_dict, diagram_to_dict
 from .errors import (
     ParameterDomainError,
     ParseError,
@@ -114,57 +116,30 @@ def parse_curve(data) -> SampledCurve:
 # straight-line interpolation of a matching
 
 
-@dataclass(frozen=True)
-class _Trajectory:
-    source: tuple[float, float]
-    target: tuple[float, float]
-    source_index: int | None
-    target_index: int | None
+def _legs(x: Diagram, y: Diagram, m: Matching) -> list:
+    """The moving slots of the straight-line interpolation along m.
 
-
-def _trajectories(x: Diagram, y: Diagram, m: Matching) -> list[_Trajectory]:
+    One (start, end, source index, target index) row per X point in order,
+    then one per Y point fed by a diagonal copy, in slot order.  A start or
+    end on the diagonal is the point's projection, and its index is None.
+    """
     nx = len(x)
     ny = len(y)
     if len(m.assignment) != nx + ny:
         raise StructuralError(
             f"matching covers {len(m.assignment)} slots but the diagrams define {nx + ny}"
         )
-    out = []
+    xs = x.geometry().tolist()
+    ys = y.geometry().tolist()
+    legs = []
     for i, j in enumerate(m.assignment):
-        if i < nx and j < ny:
-            a = x.points[i]
-            b = y.points[j]
-            out.append(_Trajectory(a.geometry(), b.geometry(), a.index, b.index))
-        elif i < nx:
-            a = x.points[i]
-            mid = 0.5 * (a.birth + a.death)
-            out.append(_Trajectory(a.geometry(), (mid, mid), a.index, None))
+        if i < nx:
+            a = xs[i]
+            b, target = (ys[j], y._indices[j]) if j < ny else ([_midpoint(*a)] * 2, None)
+            legs.append((a, b, x._indices[i], target))
         elif j < ny:
-            b = y.points[j]
-            mid = 0.5 * (b.birth + b.death)
-            out.append(_Trajectory((mid, mid), b.geometry(), None, b.index))
-    return out
-
-
-def _interpolate(traj: _Trajectory, t: float) -> tuple[float, float]:
-    return (
-        (1.0 - t) * traj.source[0] + t * traj.target[0],
-        (1.0 - t) * traj.source[1] + t * traj.target[1],
-    )
-
-
-def _resolve_indices(raw: list[tuple[float, float, int]]) -> list[Point]:
-    # Coincident points must carry distinct indices; bump duplicates stably.
-    used: set[tuple[float, float, int]] = set()
-    top = max((idx for _, _, idx in raw), default=-1)
-    points = []
-    for b, d, idx in raw:
-        while (b, d, idx) in used:
-            top += 1
-            idx = top
-        used.add((b, d, idx))
-        points.append(Point(b, d, idx))
-    return points
+            legs.append(([_midpoint(*ys[j])] * 2, ys[j], None, y._indices[j]))
+    return legs
 
 
 def convex_combination(x: Diagram, y: Diagram, m: Matching, t: float) -> Diagram:
@@ -174,21 +149,31 @@ def convex_combination(x: Diagram, y: Diagram, m: Matching, t: float) -> Diagram
     diagonal projection; anything sitting on the diagonal is dropped.  Each
     traveling point keeps its source index for t < 1 and adopts the target
     index at t = 1; points emerging from the diagonal carry the target index.
+    Coincident points that end up sharing an index are told apart by giving
+    each later one the next index above the largest in the frame.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise ParameterDomainError(f"interpolation time must lie in [0, 1], got {t}")
+    s = 1.0 - t
+    coords = []
     raw = []
-    for traj in _trajectories(x, y, m):
-        b, d = _interpolate(traj, t)
-        if d <= b:
-            continue
-        if t >= 1.0 or traj.source_index is None:
-            idx = traj.target_index
-        else:
-            idx = traj.source_index
-        raw.append((b, d, int(idx)))
-    return Diagram(tuple(_resolve_indices(raw)))
+    for (sb, sd), (eb, ed), source, target in _legs(x, y, m):
+        b = s * sb + t * eb
+        d = s * sd + t * ed
+        if d > b:
+            coords.append((b, d))
+            raw.append(target if t >= 1.0 or source is None else source)
+    top = max(raw, default=-1)
+    used = set()
+    indices = []
+    for (b, d), idx in zip(coords, raw):
+        while (b, d, idx) in used:
+            top += 1
+            idx = top
+        used.add((b, d, idx))
+        indices.append(idx)
+    return Diagram._checked(np.array(coords, dtype=float).reshape(-1, 2), tuple(indices))
 
 
 def sample_convex_combination(x: Diagram, y: Diagram, m: Matching,
@@ -398,55 +383,55 @@ def characterization_audit(x: Diagram, y: Diagram, m: Matching, mid: Diagram,
     if not (0.0 < t < 1.0):
         raise ParameterDomainError(f"audit time must lie strictly inside (0, 1), got {t}")
 
-    trajectories = _trajectories(x, y, m)
-    positions = [_interpolate(traj, t) for traj in trajectories]
-    alive = [pos for pos, (b, d) in enumerate(positions) if d > b]
-    gamma_size = len(alive)
-    n_psi = gamma_size + len(mid)
+    legs = _legs(x, y, m)
+    s = 1.0 - t
+    positions = [(s * sb + t * eb, s * sd + t * ed) for (sb, sd), (eb, ed), _, _ in legs]
+    gamma_size = sum(d > b for b, d in positions)
+    mids = mid.geometry().tolist()
+    n_psi = gamma_size + len(mids)
     if len(psi.assignment) != n_psi:
         raise StructuralError(
             f"psi covers {len(psi.assignment)} slots but the frame and midpoint define {n_psi}"
         )
 
-    def psi_image(slot: int, fallback: tuple[float, float]) -> tuple[float, float]:
-        target = psi.assignment[slot]
-        if target < len(mid):
-            return mid.points[target].geometry()
-        center = 0.5 * (fallback[0] + fallback[1])
-        return (center, center)
-
-    legs: list[tuple[tuple[float, float], tuple[float, float], tuple[float, float]]] = []
-    slot_of = {traj_pos: slot for slot, traj_pos in enumerate(alive)}
-    for traj_pos, traj in enumerate(trajectories):
-        here = positions[traj_pos]
-        if traj_pos in slot_of:
-            image = psi_image(slot_of[traj_pos], here)
-        else:
-            image = here
-        legs.append((traj.source, traj.target, image))
-    for slot in range(gamma_size, n_psi):
-        target = psi.assignment[slot]
-        if target < len(mid):
+    # (source, target, image) per transport leg: psi sends a leg's time-t
+    # position to a point of mid or to that position's projection, and a leg
+    # dropped on the diagonal stays where it is
+    images = iter(psi.assignment)
+    triples = []
+    for (source, target, _, _), here in zip(legs, positions):
+        image = here
+        if here[1] > here[0]:
+            j = next(images)
+            image = mids[j] if j < len(mids) else [_midpoint(*here)] * 2
+        triples.append((source, target, image))
+    for j in images:
+        if j < len(mids):
             # a midpoint point fed from the diagonal: its source and target
             # legs both start at its own projection
-            point = mid.points[target]
-            center = 0.5 * (point.birth + point.death)
-            legs.append(((center, center), (center, center), point.geometry()))
+            foot = [_midpoint(*mids[j])] * 2
+            triples.append((foot, foot, mids[j]))
 
     positive_terms = []
     defect_terms = []
-    for source, target, image in legs:
+    for leg, (source, target, image) in enumerate(triples):
         q_rate = ((source[0] - image[0]) / t, (source[1] - image[1]) / t)
-        r_rate = ((image[0] - target[0]) / (1.0 - t), (image[1] - target[1]) / (1.0 - t))
-        positive_terms.append(t * _qnorm(q_rate[0], q_rate[1], q) ** p)
-        positive_terms.append((1.0 - t) * _qnorm(r_rate[0], r_rate[1], q) ** p)
-        defect_terms.append(
-            t * (1.0 - t) * _qnorm(q_rate[0] - r_rate[0], q_rate[1] - r_rate[1], q) ** p
-        )
+        r_rate = ((image[0] - target[0]) / s, (image[1] - target[1]) / s)
+        try:
+            positive_terms.append(t * _qnorm(q_rate[0], q_rate[1], q) ** p)
+            positive_terms.append(s * _qnorm(r_rate[0], r_rate[1], q) ** p)
+            defect_terms.append(
+                t * s * _qnorm(q_rate[0] - r_rate[0], q_rate[1] - r_rate[1], q) ** p
+            )
+        except OverflowError:
+            raise ValidationError(
+                f"audit leg {leg} at t = {t!r} has a rate whose p-th power (p = {p:g}) overflows a float"
+            ) from None
     endpoint, _ = distance(x, y, params)
-    return AuditReport(
-        t,
-        math.fsum(positive_terms),
-        math.fsum(defect_terms),
-        endpoint ** p,
-    )
+    try:
+        bound = endpoint ** p
+    except OverflowError:
+        raise ValidationError(
+            f"the endpoint distance {endpoint!r} has a p-th power (p = {p:g}) that overflows a float"
+        ) from None
+    return AuditReport(t, math.fsum(positive_terms), math.fsum(defect_terms), bound)

@@ -422,15 +422,11 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
     if params.p != math.inf:
         values = prob.scale * values ** (1.0 / params.p)
     cutoff = float(values.min()) + params.tol
-    nx = len(x)
-    ny = len(y)
-    out: list[Matching] = []
-    seen: set[tuple[int, ...]] = set()
-    for k in np.flatnonzero(values <= cutoff):
-        perm = perms[k]
-        action = tuple(int(perm[i]) if perm[i] < ny else -1 for i in range(nx))
-        if action in seen:
-            continue
-        seen.add(action)
-        out.append(_solved(prob, perm))
-    return out
+    rows = np.flatnonzero(values <= cutoff)
+    # a geometric action: 1 + the Y point each X point goes to, or 0 for the
+    # diagonal, read as the digits of one integer (under 10**9 within the guard)
+    actions = perms[rows, :len(x)] + 1
+    actions[actions > len(y)] = 0
+    keys = actions @ (len(y) + 1) ** np.arange(len(x))
+    _, first = np.unique(keys, return_index=True)
+    return [_solved(prob, perms[k]) for k in rows[np.sort(first)]]

@@ -229,10 +229,14 @@ def ot_checks(seed: int = 0, trials: int = 60) -> list[Check]:
 # inequality suite
 
 
-def _grid_vector(rng: np.random.Generator, dim: int, *, scale: int = 10240, unit: float = 1024.0) -> np.ndarray:
+_GRID_SCALE = 10240
+_GRID_UNIT = 1024.0
+
+
+def _grid_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     # Entries are random dyadics in [-10, 10]; exact squares keep the p = 2
     # identities at exactly zero.
-    return rng.integers(-scale, scale + 1, size=dim).astype(float) / unit
+    return rng.integers(-_GRID_SCALE, _GRID_SCALE + 1, size=dim).astype(float) / _GRID_UNIT
 
 
 def _random_dim(rng: np.random.Generator) -> int:
