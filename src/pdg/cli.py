@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=50, help="random trials per parameter pair")
     ver.add_argument("--draws", type=int, default=1000, help="random draws per inequality")
-    ver.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    ver.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                     help="gallery samples per curve, odd and at least 3 so t = 1/2 is sampled")
     ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_flags(ver)
     ver.set_defaults(func=_run_verify)

@@ -272,12 +272,14 @@ def diagonal_projection(point: Point) -> tuple[float, float]:
 def diagonal_distance(point: Point, q: float) -> float:
     """Perpendicular l^q distance from a point to the diagonal.
 
-    Equals 2^(1/q - 1) * persistence, where 1/q is read as 0 when q = inf.
+    Equals c * persistence with c = 2^(1/q - 1), where 1/q is read as 0 when
+    q = inf; where the persistence overflows, c * death - c * birth.
     """
     if math.isnan(q) or q < 1.0:
         raise ParameterDomainError(f"q must lie in [1, inf], got {q}")
-    exponent = 0.0 if q == math.inf else 1.0 / q
-    return 2.0 ** (exponent - 1.0) * (point.death - point.birth)
+    c = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
+    value = c * (point.death - point.birth)
+    return value if math.isfinite(value) else c * point.death - c * point.birth
 
 
 def parse_diagram(data) -> Diagram:

@@ -110,25 +110,30 @@ def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     """Elementwise l^q norms of the differences of the (broadcast) coordinate
     rows xs - ys, each bitwise what _qnorm gives.  Near +-1e308 a difference
     overflows to inf, and _qnorm turns an infinite difference into NaN at q
-    other than 1, 2 and inf; both are priced by the callers, so numpy's
-    warnings about them are silenced."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.abs(xs - ys)
-        ax = a[..., 0]
-        ay = a[..., 1]
-        if q == 1.0:
-            return ax + ay
-        if q == math.inf:
-            return np.maximum(ax, ay)
-        if q == 2.0:
-            return _hypot(ax, ay).astype(float)
-        return _qnorm_ufunc(ax, ay, q).astype(float)
+    other than 1, 2 and inf; both are priced by the callers, which run this
+    and _diagonal_grounds under one np.errstate that silences numpy's
+    warnings about them."""
+    a = np.abs(xs - ys)
+    ax = a[..., 0]
+    ay = a[..., 1]
+    if q == 1.0:
+        return ax + ay
+    if q == math.inf:
+        return np.maximum(ax, ay)
+    if q == 2.0:
+        return _hypot(ax, ay).astype(float)
+    return _qnorm_ufunc(ax, ay, q).astype(float)
 
 
 def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
-    """Elementwise diagonal_distance of the points with (n, 2) coordinates."""
-    exponent = 0.0 if q == math.inf else 1.0 / q
-    return 2.0 ** (exponent - 1.0) * (coords[:, 1] - coords[:, 0])
+    """Elementwise diagonal_distance of the points with (n, 2) coordinates,
+    bitwise: c * persistence, or c * death - c * birth where that overflows."""
+    c = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
+    grounds = c * (coords[:, 1] - coords[:, 0])
+    if math.inf in grounds.tolist():  # at a few points, cheaper than a numpy reduction
+        over = np.isinf(grounds)
+        grounds[over] = c * coords[over, 1] - c * coords[over, 0]
+    return grounds
 
 
 def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> AugmentedProblem:
@@ -139,9 +144,10 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
     xs = x.geometry()
     ys = y.geometry()
     ground = np.zeros((n, n), dtype=float)
-    ground[:nx, :ny] = _real_grounds(xs[:, None], ys[None, :], q)
-    ground[:nx, ny:] = _diagonal_grounds(xs, q)[:, None]
-    ground[nx:, :ny] = _diagonal_grounds(ys, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ground[:nx, :ny] = _real_grounds(xs[:, None], ys[None, :], q)
+        ground[:nx, ny:] = _diagonal_grounds(xs, q)[:, None]
+        ground[nx:, :ny] = _diagonal_grounds(ys, q)
     if params.p == math.inf:
         return AugmentedProblem(x, y, params, ground, ground, 1.0)
     scale = float(ground.max()) if n else 0.0
@@ -181,12 +187,13 @@ def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[fl
     # a point of X goes to its partner in Y, or else to the diagonal
     partner = cols[:nx]
     real = partner < ny
-    grounds[:nx] = _diagonal_grounds(xs, q)
-    grounds[:nx][real] = _real_grounds(xs[real], ys[partner[real]], q)
-    # a diagonal copy takes a point of Y to the diagonal, or else another copy
-    partner = cols[nx:]
-    real = partner < ny
-    grounds[nx:][real] = _diagonal_grounds(ys[partner[real]], q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grounds[:nx] = _diagonal_grounds(xs, q)
+        grounds[:nx][real] = _real_grounds(xs[real], ys[partner[real]], q)
+        # a diagonal copy takes a point of Y to the diagonal, or else another copy
+        partner = cols[nx:]
+        real = partner < ny
+        grounds[nx:][real] = _diagonal_grounds(ys[partner[real]], q)
     return grounds.tolist()
 
 

@@ -390,7 +390,7 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
         outcome = classify_curve(curves["omega_infty"], MetricParams(math.inf, q, tol))
         checks.append(_check(
             "gallery.classify.omega_deviant", f"p=inf,q={q:g}",
-            outcome.kind, "deviant", outcome.kind == "deviant"))
+            outcome.kind, "deviant", outcome.kind == "deviant" and outcome.residual > 1e-3))
 
     outcome = classify_curve(mu1, one)
     action = None
@@ -439,6 +439,9 @@ def run_suite(name: str, seed: int = 0, *, trials: int = 50, draws: int = 1000,
     for flag, value in (("trials", trials), ("draws", draws)):
         if value < 1:
             raise ParameterDomainError(f"{flag} must be at least 1, got {value}")
+    # the gallery's p = 2 contrast reads the frame at t = 1/2
+    if name in ("gallery", "all") and (grid < 3 or grid % 2 == 0):
+        raise ParameterDomainError(f"--grid must be odd and at least 3, got {grid}")
     if name == "metric":
         return metric_checks(seed, trials=trials, tol=tol)
     if name == "ot":

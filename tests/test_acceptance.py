@@ -1,31 +1,28 @@
 """Acceptance gate: one test per criterion, each printing one summary line.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get a pass/fail line per
-criterion; every criterion passes.  The p = q = 1 half of criterion 8 uses
-``nu_r_one`` as its deviant example, not ``mu_one``: the frames of ``mu_one``
-coincide, as multisets, with the interpolation along the optimal crossing
-matching, so it classifies as a convex combination.
+criterion; every criterion passes.  Criteria 02-09 read the rows of the
+``pdg verify`` suites (metric at seed 0, ot at seed 1, gallery at grid 33):
+each pins its rows' names, params, count and expected text, asserts that they
+passed, and holds the measured values to its own bound.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 
 from pdg import (
-    Diagram,
     MetricParams,
-    brute_force_distance,
     certify_geodesic,
     characterization_audit,
     classify_curve,
     convex_combination,
-    detect_branching,
     distance,
     identity_psi,
     sample_convex_combination,
     sample_gallery,
-    verify_ot_equivalence,
 )
 from pdg.inequalities import (
     bcl_slack,
@@ -34,21 +31,32 @@ from pdg.inequalities import (
     convexity_defect_p_slack,
     jensen_partition_slack,
 )
-from pdg.instances import (
-    GRID_P,
-    GRID_Q,
-    four_point_pair,
-    index_twins,
-    random_diagram,
-    random_pair,
-    single_tall_point,
-)
-from pdg.verification import inequality_checks
+from pdg.instances import GRID_P, GRID_Q, four_point_pair, random_diagram, random_pair
+from pdg.verification import gallery_checks, inequality_checks, metric_checks, ot_checks
 
 
 def announce(number, name, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {number:02d} {name}: PASS{suffix}")
+
+
+@functools.cache
+def suite(name):
+    """The named suite's rows at the gate's seed and size, run once, and its wall time."""
+    started = time.perf_counter()
+    checks = {"metric": lambda: metric_checks(seed=0, trials=200),
+              "ot": lambda: ot_checks(seed=1, trials=100),
+              "gallery": lambda: gallery_checks(grid=33)}[name]()
+    return checks, time.perf_counter() - started
+
+
+def rows(name, expected):
+    """The measured texts of the rows called name, from the suite its prefix
+    names; their (params, expected) pairs must be ``expected`` and all must pass."""
+    picked = [c for c in suite(name.split(".")[0])[0] if c.name == name]
+    assert [(c.params, c.expected) for c in picked] == expected
+    assert [c for c in picked if not c.passed] == []
+    return [c.measured for c in picked]
 
 
 def test_criterion_01_four_point_distance_and_speed():
@@ -66,101 +74,60 @@ def test_criterion_01_four_point_distance_and_speed():
 
 
 def test_criterion_02_single_point_closed_form():
-    worst = 0.0
-    for k in (1.0, 4.0, 10.0):
-        x = single_tall_point(k)
-        for q in GRID_Q:
-            expected = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0) * k
-            value, _ = distance(x, Diagram(), MetricParams(math.inf, q))
-            worst = max(worst, abs(value - expected))
+    expected = [(f"k={k:g},q={q:g}", repr(2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0) * k))
+                for k in (1.0, 4.0, 10.0) for q in GRID_Q]
+    measured = rows("metric.single_point_bottleneck", expected)
+    worst = max(abs(float(m) - float(e)) for m, (_, e) in zip(measured, expected))
     assert worst <= 1e-12
     announce(2, "single point closed form", f"worst gap {worst!r}")
 
 
 def test_criterion_03_index_twins_zero():
-    a, b = index_twins()
-    worst = 0.0
-    for p in GRID_P:
-        for q in GRID_Q:
-            value, _ = distance(a, b, MetricParams(p, q))
-            worst = max(worst, abs(value))
-    assert worst <= 1e-12
-    announce(3, "index twins at distance zero", f"worst {worst!r}")
+    (worst,) = rows("metric.index_twins_zero", [("full grid", "0.0")])
+    assert abs(float(worst)) <= 1e-12
+    announce(3, "index twins at distance zero", f"worst {worst}")
 
 
 def test_criterion_04_solver_oracle_agreement():
-    rng = np.random.default_rng(0)
-    started = time.perf_counter()
-    worst = 0.0
-    for p in GRID_P:
-        for q in GRID_Q:
-            params = MetricParams(p, q)
-            for _ in range(200):
-                x, y = random_pair(rng, max_total=6)
-                value, _ = distance(x, y, params)
-                worst = max(worst, abs(value - brute_force_distance(x, y, params)))
-    elapsed = time.perf_counter() - started
+    elapsed = suite("metric")[1]
+    labels = [(f"p={p:g},q={q:g}", "0.0") for p in GRID_P for q in GRID_Q]
+    worst = max(float(m) for m in rows("metric.oracle_agreement", labels))
     assert worst <= 1e-9
     assert elapsed < 60.0
     announce(4, "solver matches exhaustive search", f"worst {worst!r}, {elapsed:.1f}s")
 
 
 def test_criterion_05_transport_agreement():
-    x, y = four_point_pair()
-    worst = 0.0
-    for p in (1.0, 2.0, 3.0):
-        report = verify_ot_equivalence(x, y, p)
-        assert report.agree
-        worst = max(worst, abs(report.assignment_value - report.coupling_min_value))
-    rng = np.random.default_rng(1)
-    for trial in range(100):
-        a, b = random_pair(rng, max_total=5)
-        report = verify_ot_equivalence(a, b, (1.0, 2.0, 3.0)[trial % 3])
-        assert report.agree
-        worst = max(worst, abs(report.assignment_value - report.coupling_min_value))
+    gaps = rows("ot.four_point_agreement", [(f"p={p:g}", "0.0") for p in (1, 2, 3)])
+    gaps += rows("ot.random_agreement", [("trials=100", "0.0")])
+    worst = max(float(g) for g in gaps)
     assert worst <= 1e-9
     announce(5, "assignment equals coupling optimum", f"worst {worst!r}")
 
 
 def test_criterion_06_bottleneck_gallery_certifies():
-    worst = 0.0
-    for name, kwargs in (
-        ("mu_infty", {"k": 10.0, "j": 3.0}),
-        ("nu_infty", {"k": 10.0, "l": 1.0}),
-        ("omega_infty", {"k": 10.0, "j": 3.0}),
-    ):
-        curve = sample_gallery(name, 33, **kwargs)
-        for q in GRID_Q:
-            cert = certify_geodesic(curve, MetricParams(math.inf, q))
-            assert cert.ok, (name, q, cert.witness)
-            worst = max(worst, cert.max_violation)
+    labels = [f"{name},p=inf,q={q:g}" for name in ("mu_infty", "nu_infty", "omega_infty") for q in GRID_Q]
+    labels += ["mu_one,p=1,q=1"] + [f"nu_r_one,r={r:g},p=1,q=1" for r in (0, 0.5, 1)]
+    measured = rows("gallery.certify", [(label, "<= 1e-9") for label in labels])
+    worst = max(float(m) for m in measured[:9])  # the bottleneck rows
     assert worst <= 1e-9
     announce(6, "bottleneck gallery certifies", f"worst violation {worst!r}")
 
 
 def test_criterion_07_branch_detection_times():
     step = 1.0 / 32.0
-    mu = sample_gallery("mu_infty", 33, k=10.0, j=3.0).reversed()
-    nu = sample_gallery("nu_infty", 33, k=10.0, l=1.0).reversed()
-    split = detect_branching(mu, nu, MetricParams(math.inf, 2.0))
-    assert split is not None
-    assert abs((1.0 - split) - 1.0 / 3.0) <= step + 1e-12
-    base = sample_gallery("nu_r_one", 33, k=10.0, r=0.0)
-    one = MetricParams(1.0, 1.0)
-    for r in (0.5, 1.0):
-        other = sample_gallery("nu_r_one", 33, k=10.0, r=r)
-        ascent_split = detect_branching(base, other, one)
-        assert ascent_split is not None
-        assert abs(ascent_split - 0.5) <= step + 1e-12
-    announce(7, "branch times located", f"reversed split at {split!r}")
+    (split,) = rows("gallery.branch.mu_nu_reversed", [("p=inf,q=2", "1/3 within one step")])
+    assert abs(float(split) - 1.0 / 3.0) <= step + 1e-12
+    ascents = rows("gallery.branch.nu_r",
+                   [(f"r=0 vs r={r:g}", "1/2 within one step") for r in (0.5, 1)])
+    assert all(abs(float(a) - 0.5) <= step + 1e-12 for a in ascents)
+    announce(7, "branch times located", f"mu/nu split at {split}, near 1/3")
 
 
 def test_criterion_08_deviant_classification():
-    for q in GRID_Q:
-        outcome = classify_curve(
-            sample_gallery("omega_infty", 33, k=10.0, j=3.0), MetricParams(math.inf, q))
-        assert outcome.kind == "deviant", (q, outcome.kind)
-        assert outcome.residual > 1e-3
+    # the suite's row also requires a residual above 1e-3
+    kinds = rows("gallery.classify.omega_deviant", [(f"p=inf,q={q:g}", "deviant") for q in GRID_Q])
+    assert kinds == ["deviant"] * 3
     # At p = q = 1 the deviant is nu_r_one, not mu_one.  The frames of mu_one
     # are, as multisets, exactly the interpolation along the crossing matching
     # (0, k) -> (2, k), (1, k-1) -> (1, k+1): both trace {(2t, k), (1, k-1+2t)}.
@@ -178,21 +145,10 @@ def test_criterion_08_deviant_classification():
 
 
 def test_criterion_09_characterized_regime_contrast():
-    two = MetricParams(2.0, 2.0)
-    cases = (
-        ("omega_infty", {"k": 10.0, "j": 3.0}, math.sqrt(17.0), 10.0 / (2.0 * math.sqrt(2.0))),
-        ("mu_one", {"k": 10.0}, math.sqrt(2.0), 1.0),
-    )
-    for name, kwargs, want_measured, want_expected in cases:
-        curve = sample_gallery(name, 33, **kwargs)
-        cert = certify_geodesic(curve, two)
-        assert not cert.ok, name
-        s, t, measured, expected = cert.witness
-        assert (s, t) == (0.0, 0.5), (name, s, t)
-        assert abs(measured - want_measured) <= 1e-6
-        assert abs(expected - want_expected) <= 1e-6
-        confirmed = brute_force_distance(curve.frames[0], curve.frames[16], two)
-        assert abs(measured - confirmed) <= 1e-9
+    # each row: the p = q = 2 certificate fails at (0, 1/2), as the closed forms say
+    witness = "fails with expected witness"
+    verdicts = rows("gallery.contrast_p2", [("omega", witness), ("mu_one", witness)])
+    assert verdicts == [witness, witness]
     announce(9, "square regime refutes both curves", "witnesses at (0, 1/2)")
 
 

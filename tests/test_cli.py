@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import pdg.verification as verification
 from pdg.cli import main
-from pdg.verification import Check
+from pdg.verification import SUITES, Check, run_suite
 
 X_TEXT = '{"points": [[0, 10], [1, 9]]}'
 Y_TEXT = '{"points": [[1, 11], [2, 10]]}'
@@ -162,6 +163,25 @@ def test_verify_rejects_empty_trials_or_draws(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["gallery", "all"])
+@pytest.mark.parametrize("grid", ["2", "4"])
+def test_verify_rejects_a_grid_that_misses_t_half(suite, grid, monkeypatch, capsys):
+    # refused before any suite runs: a metric run would call None
+    monkeypatch.setattr(verification, "metric_checks", None)
+    assert main(["verify", suite, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--grid must be odd and at least 3, got {grid}" in captured.err
+
+
+def test_every_suite_passes_at_the_benchmark_sizes():
+    # the sizes of perfbench's verify workload, which counts a failed row as a failed operation
+    for seed in (*range(8), 2**31 - 2):
+        for name in SUITES[:-1]:
+            failed = [c for c in run_suite(name, seed, trials=2, draws=10, grid=5) if not c.passed]
+            assert failed == [], (name, seed)
 
 
 def test_size_guard_is_exit_3(tmp_path, capsys):

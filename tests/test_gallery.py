@@ -1,11 +1,8 @@
-import math
-
 import pytest
 
 from pdg import (
     MetricParams,
     ParameterDomainError,
-    certify_geodesic,
     detect_branching,
     gallery_frame,
     sample_gallery,
@@ -95,15 +92,6 @@ def test_sample_gallery_grid():
     assert curve.times[0] == 0.0
     assert curve.times[-1] == 1.0
     assert geometry(curve.frames[0]) == [(0.0, 3.0), (0.0, 10.0)]
-
-
-def test_gallery_curves_certify_in_their_regimes():
-    infty = sample_gallery("omega_infty", 17, k=10.0, j=3.0)
-    cert = certify_geodesic(infty, MetricParams(math.inf, 2.0))
-    assert cert.ok and cert.max_violation <= 1e-9
-    one = sample_gallery("nu_r_one", 17, k=10.0, r=0.5)
-    cert = certify_geodesic(one, MetricParams(1.0, 1.0))
-    assert cert.ok and cert.max_violation <= 1e-9
 
 
 def test_branching_between_family_members():

@@ -18,6 +18,7 @@ from pdg import (
     OtReport,
     Point,
     SizeGuardError,
+    ValidationError,
     WrongSolverError,
     brute_force_distance,
     build_augmented_problem,
@@ -33,11 +34,8 @@ from pdg import (
     transport_cost,
     verify_ot_equivalence,
 )
-from pdg.instances import four_point_pair, index_twins, random_pair, single_tall_point
+from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_pair, single_tall_point
 from pdg.matching import _perfect_matching_under
-
-GRID_P = (1.0, 1.5, 2.0, 3.0, math.inf)
-GRID_Q = (1.0, 2.0, math.inf)
 
 # augmented ground matrix for the four point configuration at q = 1: rows are
 # the two off-diagonal points of X then one diagonal copy per point of Y,
@@ -469,6 +467,28 @@ def test_overflowing_coordinates_stay_quiet():
                 assert not math.isfinite(matching_cost(x, y, Matching((0, 1), (), value), params))
             assert value == matching_cost(x, y, witness, params)
             assert math.isfinite(value)
+
+
+def test_overflowing_persistence_keeps_a_finite_diagonal_distance():
+    # death - birth overflows, yet at q = 2 and inf c * death - c * birth fits;
+    # the second point keeps the finite c * (death - birth)
+    tall = Point(-1e308, 1e308, 0)
+    x = Diagram((tall, Point(0.0, 1.0, 1)))
+    for p in (1.0, math.inf):
+        for q in (2.0, math.inf):
+            params = MetricParams(p, q)
+            grounds = [diagonal_distance(pt, q) for pt in x.points]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, witness = distance(x, Diagram(), params)
+                assert build_augmented_problem(x, Diagram(), params).ground[:, 0].tolist() == grounds
+                assert value == (math.fsum(grounds) if p == 1.0 else max(grounds))
+                assert matching_cost(x, Diagram(), witness, params) == value
+                assert distance(Diagram(), x, params)[0] == value
+            assert math.isfinite(value)
+    assert diagonal_distance(tall, 2.0) == 2.0 ** -0.5 * 1e308 - 2.0 ** -0.5 * -1e308
+    with pytest.raises(ValidationError, match="overflows a float"):
+        distance(x, Diagram(), MetricParams(2.0, 2.0))
 
 
 def test_symmetry_is_exact():
