@@ -5,22 +5,31 @@ left slots are the points of X followed by one diagonal copy per point of Y,
 right slots are the points of Y followed by one diagonal copy per point of X.
 A real pair costs the l^q norm of the coordinate difference, a real point
 paired with a diagonal copy costs its perpendicular distance to the diagonal,
-and two diagonal copies pair for free.  The matrix is built by numpy
+and two diagonal copies pair for free.  A point whose distance to the
+diagonal exceeds the float range is refused.  The matrix is built by numpy
 broadcasts over the two point arrays, each entry bitwise equal to the scalar
 norm, and a solver reads its witness's pair costs back from the matrix it
 solved; matching_cost reprices a given matching from the diagrams alone.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
-O(n^3) method).  For p = inf it minimizes the largest selected entry: the
-optimum is the smallest entry whose threshold graph has a perfect matching,
-so the reported bottleneck value is always an exact matrix entry.  The
-search is bracketed between the largest row or column minimum and the
-largest entry of the minimum-sum assignment, tries the lower bound first,
-and binary-searches the distinct entries in between with Kuhn's augmenting
-paths over one column bitmask per row, warm-started from that assignment
-and run on an explicit stack.  The
-witness is the matching a cold Kuhn pass finds at the optimum, rows in
-order and each row's columns ascending, whatever the search probed.
+O(n^3) method) on a reduced problem: the smaller side's points as rows
+against the other side's points and the diagonal, min(n_x, n_y) x
+(n_x + n_y) entries, so the zero block of copy pairs never reaches the
+solver.  The square witness follows one canonical rule for the
+interchangeable diagonal copies: a point sent to the diagonal takes its own
+copy, and so does an unmatched point on the other side, and the copies of a
+real pair's two points pair with each other.
+
+For p = inf the solver minimizes the largest selected entry: the optimum is
+the smallest entry whose threshold graph has a perfect matching, so the
+reported bottleneck value is always an exact matrix entry.  The search is
+bracketed between the largest row or column minimum and the largest entry of
+the reduced minimum-sum assignment, tries the lower bound first, and
+binary-searches the distinct entries in between with Kuhn's augmenting paths
+over one column bitmask per row, warm-started from that assignment and run
+on an explicit stack.  The witness is the matching a cold Kuhn pass finds at
+the optimum, rows in order and each row's columns ascending, whatever the
+search probed.
 """
 
 from __future__ import annotations
@@ -127,12 +136,20 @@ def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
 
 def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
     """Elementwise diagonal_distance of the points with (n, 2) coordinates,
-    bitwise: c * persistence, or c * death - c * birth where that overflows."""
+    bitwise: c * persistence, or c * death - c * birth where that overflows.
+    A distance that overflows even so is beyond the float range: the point is
+    refused, at every p alike."""
     c = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
     grounds = c * (coords[:, 1] - coords[:, 0])
     if math.inf in grounds.tolist():  # at a few points, cheaper than a numpy reduction
         over = np.isinf(grounds)
         grounds[over] = c * coords[over, 1] - c * coords[over, 0]
+        if math.inf in grounds[over].tolist():
+            birth, death = coords[np.isinf(grounds)][0].tolist()
+            raise ValidationError(
+                f"the diagonal distance of point ({birth}, {death}) at q = {q:g} "
+                f"exceeds the float range"
+            )
     return grounds
 
 
@@ -227,10 +244,10 @@ def _matching(assignment: tuple[int, ...], grounds: list[float], p: float) -> Ma
 
 
 def _solved(prob: AugmentedProblem, assignment) -> Matching:
-    """The matching of a solved assignment, its pair grounds read from prob.ground."""
-    cols = np.asarray(assignment, dtype=np.intp)
-    grounds = prob.ground[np.arange(prob.n), cols].tolist()
-    return _matching(tuple(cols.tolist()), grounds, prob.params.p)
+    """The matching of a solved assignment (a sequence of Python ints), its
+    pair grounds read from prob.ground."""
+    grounds = list(map(prob.ground.item, range(prob.n), assignment))
+    return _matching(tuple(assignment), grounds, prob.params.p)
 
 
 def matching_cost(x: Diagram, y: Diagram, m: Matching, params: MetricParams) -> float:
@@ -245,14 +262,43 @@ def matching_from_assignment(x: Diagram, y: Diagram, assignment, params: MetricP
     return _matching(tuple(int(j) for j in assignment), grounds, params.p)
 
 
+def _reduced_assignment(cost: np.ndarray, nx: int, ny: int) -> list[int]:
+    """A minimum-sum assignment of the square augmented matrix cost, solved on
+    min(nx, ny) x (nx + ny) entries and completed by the canonical copy rule.
+
+    Take the rows to be the points of X (transpose when nx > ny, so the
+    smaller side is the rows).  Every diagonal-copy row holds the diagonal
+    costs of Y followed by zeros, so an assignment's sum is that of its X
+    rows less each matched Y point's diagonal cost, plus a constant: the
+    reduced cost is cost[:nx] - cost[nx], and the zero block never reaches
+    the solver.  Back on the square: a point sent to the diagonal takes its
+    own copy (x_i -> ny + i), an unmatched point of Y takes its own copy
+    (nx + j -> j), and the copies of a real pair's partners pair with each
+    other (nx + j -> ny + i).  The rule is its own transpose, so one loop
+    serves both orientations.  The diagonal costs must be finite.
+    """
+    n = nx + ny
+    assignment = [*range(ny, n), *range(ny)]
+    flip = nx > ny
+    rows, reals = (ny, nx) if flip else (nx, ny)
+    if rows:
+        square = cost.T if flip else cost
+        _, cols = linear_sum_assignment(square[:rows] - square[rows])
+        for r, c in enumerate(cols.tolist()):
+            if c < reals:
+                i, j = (c, r) if flip else (r, c)
+                assignment[i] = j
+                assignment[nx + j] = ny + i
+    return assignment
+
+
 def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
-    """Minimum-sum assignment for finite p."""
+    """Minimum-sum assignment for finite p, on the reduced problem."""
     if prob.params.p == math.inf:
         raise WrongSolverError("p = inf requires solve_assignment_bottleneck")
     if prob.n == 0:
         return Matching((), (), 0.0)
-    _, cols = linear_sum_assignment(prob.cost)
-    return _solved(prob, cols)
+    return _solved(prob, _reduced_assignment(prob.cost, prob.n_left_real, prob.n_right_real))
 
 
 def _threshold_adjacency(ground: np.ndarray, tau: float) -> list[int]:
@@ -332,13 +378,14 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     (entries <= d*) has a perfect matching, so the returned total is exactly
     one of the matrix entries.  The search is bracketed: every perfect
     matching reaches the largest row or column minimum, and the minimum-sum
-    assignment of the ground matrix is a perfect matching whose largest entry
-    bounds d* from above.  The lower bound is tried first; if it fails, a
-    binary search probes only the distinct entries above it up to the upper
-    bound, each probe warm-started from the assignment's pairs under its
-    threshold.  The witness is the perfect matching a cold Kuhn pass finds
-    at d*: rows in order, each row's columns ascending, a fresh visited set
-    per row.  The pass that tries the lower bound is that cold pass.
+    assignment of the ground matrix (solved on the reduced problem, as for
+    finite p) is a perfect matching whose largest entry bounds d* from above.
+    The lower bound is tried first; if it fails, a binary search probes only
+    the distinct entries above it up to the upper bound, each probe
+    warm-started from the assignment's pairs under its threshold.  The
+    witness is the perfect matching a cold Kuhn pass finds at d*: rows in
+    order, each row's columns ascending, a fresh visited set per row.  The
+    pass that tries the lower bound is that cold pass.
     """
     if prob.params.p != math.inf:
         raise WrongSolverError("finite p requires solve_assignment_sum")
@@ -352,10 +399,10 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     witness = _perfect_matching_under(ground, lower)
     if witness is None:
         try:
-            _, start = linear_sum_assignment(ground)
+            start = np.array(_reduced_assignment(ground, prob.n_left_real, prob.n_right_real))
             upper = ground[np.arange(prob.n), start].max()
         except ValueError:
-            # a NaN entry, or only infinite entries complete a perfect matching
+            # a NaN entry, which scipy rejects
             start, upper = None, math.inf
         entries = np.unique(ground[(ground > lower) & (ground <= upper)])
         lo, hi = 0, len(entries) - 1
@@ -415,7 +462,7 @@ def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
 def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
     """Ground-truth distance by exhausting every slot permutation."""
     prob, perms, objective = _exhaust(x, y, params, "brute_force_distance")
-    return _solved(prob, perms[int(np.argmin(objective))]).total
+    return _solved(prob, perms[int(np.argmin(objective))].tolist()).total
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
@@ -436,4 +483,4 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
     actions[actions > len(y)] = 0
     keys = actions @ (len(y) + 1) ** np.arange(len(x))
     _, first = np.unique(keys, return_index=True)
-    return [_solved(prob, perms[k]) for k in rows[np.sort(first)]]
+    return [_solved(prob, perms[k].tolist()) for k in rows[np.sort(first)]]

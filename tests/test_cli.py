@@ -153,6 +153,22 @@ def test_overflowing_real_pair_ground_is_priced_out(tmp_path, capsys, q):
     assert payload["value"] == pytest.approx(factor * sum(persistences), rel=1e-15)
 
 
+def test_unrepresentable_diagonal_distance_is_exit_2(tmp_path, capsys):
+    # at q = 1 the diagonal distance is the persistence, here 2e308: one rule
+    # and one message at every p, whichever side the point is on
+    tall = tmp_path / "tall.json"
+    tall.write_text('{"points": [[-1e308, 1e308]]}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"points": []}')
+    message = "the diagonal distance of point (-1e+308, 1e+308) at q = 1 exceeds the float range"
+    for p in ("1", "1.5", "2", "inf"):
+        for files in ((tall, empty), (empty, tall)):
+            assert main(["dist", *map(str, files), "--p", p, "--q", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--trials", "-1", "--draws", "-5"],
     ["--trials", "0"],

@@ -35,7 +35,7 @@ from pdg import (
     verify_ot_equivalence,
 )
 from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_pair, single_tall_point
-from pdg.matching import _perfect_matching_under
+from pdg.matching import _perfect_matching_under, _solved
 
 # augmented ground matrix for the four point configuration at q = 1: rows are
 # the two off-diagonal points of X then one diagonal copy per point of Y,
@@ -114,6 +114,76 @@ def test_witness_reprices_bitwise_beyond_the_factorial_oracles():
             assert witness.total == value
             if p == math.inf:
                 assert value in build_augmented_problem(x, y, params).ground
+
+
+def integer_pair(rng, nx, ny):
+    """Small integer coordinates, so that many matchings tie."""
+    def draw(n):
+        births = rng.integers(0, 4, n)
+        deaths = births + rng.integers(1, 4, n)
+        return Diagram.from_pairs(list(zip(births.tolist(), deaths.tolist())))
+
+    return draw(nx), draw(ny)
+
+
+def far_apart_pair(rng, nx, ny):
+    """Points near -9.5e307 and +9.5e307: a pair across the two groups has a
+    coordinate difference beyond the float range and is priced out.  Only
+    p = 1 can price these diagrams: at p > 1 a ground's p-th power overflows."""
+    def draw(n):
+        births = rng.choice([-9.5e307, 9.5e307], n) + rng.uniform(-1e306, 1e306, n)
+        deaths = births + rng.uniform(1e305, 1e306, n)
+        return Diagram.from_pairs(list(zip(births.tolist(), deaths.tolist())))
+
+    return draw(nx), draw(ny)
+
+
+def assert_canonical_copies(assignment, nx, ny):
+    """A point sent to the diagonal takes its own copy, an unmatched point of Y
+    takes its own copy, and a real pair's partners' copies pair together."""
+    partner = {}
+    for i in range(nx):
+        j = assignment[i]
+        if j < ny:
+            partner[j] = i
+        else:
+            assert j == ny + i
+    for j in range(ny):
+        assert assignment[nx + j] == (ny + partner[j] if j in partner else j)
+
+
+def test_reduced_solve_matches_the_square_solve():
+    # the reduced min(nx, ny) x (nx + ny) solve against linear_sum_assignment
+    # on the whole square cost matrix: the same value to 1e-12, bitwise on
+    # most cases (a near tie may round the other way in the reduced costs)
+    rng = np.random.default_rng(97)
+    finite_p = GRID_P[:-1]
+    pairs = [(random_sized_pair(rng, nx, ny), finite_p) for nx, ny in (
+        (0, 6), (5, 0), (1, 1), (3, 8), (9, 2), (30, 47), (71, 40), (400, 380))]
+    pairs += [(integer_pair(rng, nx, ny), finite_p) for nx, ny in ((0, 3), (6, 9), (40, 25))]
+    pairs += [(far_apart_pair(rng, nx, ny), (1.0,)) for nx, ny in ((4, 0), (5, 7), (30, 22))]
+    cases = bitwise = priced_out = 0
+    for (x, y), ps in pairs:
+        nx, ny = len(x), len(y)
+        for p in ps:
+            for q in GRID_Q:
+                params = MetricParams(p, q)
+                prob = build_augmented_problem(x, y, params)
+                priced_out += not np.isfinite(prob.cost).all()
+                reference = _solved(prob, linear_sum_assignment(prob.cost)[1].tolist())
+                m = solve_assignment_sum(prob)
+                assert abs(m.total - reference.total) <= 1e-12 * reference.total
+                assert_canonical_copies(m.assignment, nx, ny)
+                value, witness = distance(x, y, params)
+                assert value == m.total
+                assert_canonical_copies(witness.assignment, nx, ny)
+                assert matching_cost(x, y, witness, params) == value
+                assert distance(y, x, params)[0] == value
+                cases += 1
+                bitwise += m.total == reference.total
+    print(f"reduced solve: {bitwise} of {cases} values bitwise equal to the square solve's")
+    assert bitwise >= cases // 2
+    assert priced_out >= 6
 
 
 # distance(x, y, MetricParams(inf, q)) on random_sized_pair(default_rng(67), 20, 20):
@@ -489,6 +559,18 @@ def test_overflowing_persistence_keeps_a_finite_diagonal_distance():
     assert diagonal_distance(tall, 2.0) == 2.0 ** -0.5 * 1e308 - 2.0 ** -0.5 * -1e308
     with pytest.raises(ValidationError, match="overflows a float"):
         distance(x, Diagram(), MetricParams(2.0, 2.0))
+
+
+def test_unrepresentable_diagonal_distance_is_refused():
+    # persistence 3.4e308: c * death - c * birth overflows too at q = 1, 1.5
+    # and 2 (c = 1, 2^(-1/3), 2^(-1/2)), while at q = inf c = 1/2 and it fits
+    x = Diagram.from_pairs([(0.0, 1.0), (-1.7e308, 1.7e308)])
+    for p in GRID_P:
+        for q in (1.0, 1.5, 2.0):
+            with pytest.raises(ValidationError, match=r"point \(-1\.7e\+308, 1\.7e\+308\) at q = "):
+                build_augmented_problem(Diagram(), x, MetricParams(p, q))
+    for p in (1.0, math.inf):
+        assert math.isfinite(distance(x, Diagram(), MetricParams(p, math.inf))[0])
 
 
 def test_symmetry_is_exact():
