@@ -12,24 +12,30 @@ norm, and a solver reads its witness's pair costs back from the matrix it
 solved; matching_cost reprices a given matching from the diagrams alone.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
-O(n^3) method) on a reduced problem: the smaller side's points as rows
-against the other side's points and the diagonal, min(n_x, n_y) x
-(n_x + n_y) entries, so the zero block of copy pairs never reaches the
-solver.  The square witness follows one canonical rule for the
-interchangeable diagonal copies: a point sent to the diagonal takes its own
-copy, and so does an unmatched point on the other side, and the copies of a
-real pair's two points pair with each other.
+O(n^3) method).  From REDUCED_FROM points on each side it solves a reduced
+problem: the smaller side's points as rows against the other side's points
+and the diagonal, min(n_x, n_y) x (n_x + n_y) entries, so the zero block of
+copy pairs never reaches the solver.  The reduction subtracts diagonal
+costs from pair costs, so where the two diagrams nearly coincide it rounds
+the close partners' costs together; its result is then refused and the
+square matrix solved instead.  At about 400 points per side with q = 1 and
+p >= 1.5 the reduced solve is slower than the square one (1.3-1.4x); it is
+about even at 200, and faster at other exponents and smaller sizes.  Either
+way the square witness follows one canonical rule for the interchangeable
+diagonal copies: a point sent to the diagonal takes its own copy, and so
+does an unmatched point on the other side, and the copies of a real pair's
+two points pair with each other.
 
 For p = inf the solver minimizes the largest selected entry: the optimum is
 the smallest entry whose threshold graph has a perfect matching, so the
 reported bottleneck value is always an exact matrix entry.  The search is
 bracketed between the largest row or column minimum and the largest entry of
-the reduced minimum-sum assignment, tries the lower bound first, and
-binary-searches the distinct entries in between with Kuhn's augmenting paths
-over one column bitmask per row, warm-started from that assignment and run
-on an explicit stack.  The witness is the matching a cold Kuhn pass finds at
-the optimum, rows in order and each row's columns ascending, whatever the
-search probed.
+a minimum-sum assignment (solved as for finite p), tries the lower bound
+first, and binary-searches the distinct entries in between with Kuhn's
+augmenting paths over one column bitmask per row, warm-started from that
+assignment and run on an explicit stack.  The witness is the matching a
+cold Kuhn pass finds at the optimum, rows in order and each row's columns
+ascending, whatever the search probed.
 """
 
 from __future__ import annotations
@@ -244,8 +250,9 @@ def _matching(assignment: tuple[int, ...], grounds: list[float], p: float) -> Ma
 
 
 def _solved(prob: AugmentedProblem, assignment) -> Matching:
-    """The matching of a solved assignment (a sequence of Python ints), its
-    pair grounds read from prob.ground."""
+    """The matching of a solved assignment, its pair grounds read from prob.ground."""
+    if isinstance(assignment, np.ndarray):
+        assignment = assignment.tolist()
     grounds = list(map(prob.ground.item, range(prob.n), assignment))
     return _matching(tuple(assignment), grounds, prob.params.p)
 
@@ -262,43 +269,90 @@ def matching_from_assignment(x: Diagram, y: Diagram, assignment, params: MetricP
     return _matching(tuple(int(j) for j in assignment), grounds, params.p)
 
 
-def _reduced_assignment(cost: np.ndarray, nx: int, ny: int) -> list[int]:
-    """A minimum-sum assignment of the square augmented matrix cost, solved on
-    min(nx, ny) x (nx + ny) entries and completed by the canonical copy rule.
-
-    Take the rows to be the points of X (transpose when nx > ny, so the
-    smaller side is the rows).  Every diagonal-copy row holds the diagonal
-    costs of Y followed by zeros, so an assignment's sum is that of its X
-    rows less each matched Y point's diagonal cost, plus a constant: the
-    reduced cost is cost[:nx] - cost[nx], and the zero block never reaches
-    the solver.  Back on the square: a point sent to the diagonal takes its
-    own copy (x_i -> ny + i), an unmatched point of Y takes its own copy
+def _copy_rule(partner: list[int], nx: int, ny: int) -> list[int]:
+    """The square assignment that pairs x_i with y_partner[i] where
+    partner[i] < ny, with the canonical rule for the interchangeable diagonal
+    copies: a point of X sent to the diagonal takes its own copy
+    (x_i -> ny + i), an unmatched point of Y takes its own copy
     (nx + j -> j), and the copies of a real pair's partners pair with each
-    other (nx + j -> ny + i).  The rule is its own transpose, so one loop
-    serves both orientations.  The diagonal costs must be finite.
-    """
-    n = nx + ny
-    assignment = [*range(ny, n), *range(ny)]
-    flip = nx > ny
-    rows, reals = (ny, nx) if flip else (nx, ny)
-    if rows:
-        square = cost.T if flip else cost
-        _, cols = linear_sum_assignment(square[:rows] - square[rows])
-        for r, c in enumerate(cols.tolist()):
-            if c < reals:
-                i, j = (c, r) if flip else (r, c)
-                assignment[i] = j
-                assignment[nx + j] = ny + i
+    other (nx + j -> ny + i).  Every copy of one point costs the same, so
+    the rule keeps any assignment's value."""
+    assignment = [*range(ny, nx + ny), *range(ny)]
+    for i, j in enumerate(partner):
+        if j < ny:
+            assignment[i] = j
+            assignment[nx + j] = ny + i
     return assignment
 
 
+#: The reduced solve runs from this many points on the smaller side.  Below
+#: it the square solve is as fast or faster on random diagrams (births in
+#: [-5, 5], persistences in [0.1, 4]): the reduced matrix's subtraction and
+#: the refusal check cost more than the smaller matrix saves.
+REDUCED_FROM = 12
+
+#: The reduced solve's result stands when its rounding can lift the objective
+#: above the optimum by at most this fraction of it.
+REDUCED_SLACK = 2.0 ** -42
+
+
+def _reduced_partners(cost: np.ndarray, nx: int, ny: int) -> list[int] | None:
+    """Each point of X's partner (a column of cost, real where below ny) in a
+    minimum-sum assignment of the square augmented matrix cost, solved on its
+    min(nx, ny) x (nx + ny) reduction, or None where the reduction's rounding
+    may have cost more than REDUCED_SLACK.
+
+    Take the rows to be the points of X (transpose when nx > ny, so the
+    smaller side is the rows).  Every diagonal-copy row holds the diagonal
+    costs d_j of Y followed by zeros, so an assignment's sum is that of its
+    X rows less each matched point's d_j, plus the sum of all d_j: the
+    reduced cost is cost[:nx] - cost[nx], and the zero block never reaches
+    the solver.  An entry c - d_j rounds by at most 2^-53 of its size.  For
+    a pair that an optimum of either problem uses, that size is at most the
+    larger diagonal cost of the two points, or else sending both to the
+    diagonal would be cheaper; so the reduced optimum is within 2^-52 D of
+    the true one, D the sum of all diagonal costs.  Where points of the two
+    sides nearly coincide, c is far below d_j and the value far below D:
+    the reduction cannot tell the close partners apart and is refused.
+    """
+    flip = nx > ny
+    rows, reals = (ny, nx) if flip else (nx, ny)
+    square = cost.T if flip else cost
+    reduced = square[:rows] - square[rows]
+    picked, cols = linear_sum_assignment(reduced)
+    across = square[rows, :reals].sum()
+    spread = square[:rows, reals].sum() + across
+    value = reduced[picked, cols].sum() + across
+    if not 2.0 ** -52 * spread <= REDUCED_SLACK * value:
+        return None
+    if not flip:
+        return cols.tolist()
+    partner = [ny] * nx
+    for j, i in enumerate(cols.tolist()):
+        if i < nx:
+            partner[i] = j
+    return partner
+
+
+def _min_sum_assignment(cost: np.ndarray, nx: int, ny: int) -> list[int]:
+    """A minimum-sum assignment of the square augmented matrix cost, on the
+    reduced problem where it pays and stands, else on the square matrix, its
+    copies placed by _copy_rule either way."""
+    partner = None
+    if nx >= REDUCED_FROM <= ny:
+        partner = _reduced_partners(cost, nx, ny)
+    if partner is None:
+        partner = linear_sum_assignment(cost)[1][:nx].tolist()
+    return _copy_rule(partner, nx, ny)
+
+
 def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
-    """Minimum-sum assignment for finite p, on the reduced problem."""
+    """Minimum-sum assignment for finite p."""
     if prob.params.p == math.inf:
         raise WrongSolverError("p = inf requires solve_assignment_bottleneck")
     if prob.n == 0:
         return Matching((), (), 0.0)
-    return _solved(prob, _reduced_assignment(prob.cost, prob.n_left_real, prob.n_right_real))
+    return _solved(prob, _min_sum_assignment(prob.cost, prob.n_left_real, prob.n_right_real))
 
 
 def _threshold_adjacency(ground: np.ndarray, tau: float) -> list[int]:
@@ -378,14 +432,14 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     (entries <= d*) has a perfect matching, so the returned total is exactly
     one of the matrix entries.  The search is bracketed: every perfect
     matching reaches the largest row or column minimum, and the minimum-sum
-    assignment of the ground matrix (solved on the reduced problem, as for
-    finite p) is a perfect matching whose largest entry bounds d* from above.
-    The lower bound is tried first; if it fails, a binary search probes only
-    the distinct entries above it up to the upper bound, each probe
-    warm-started from the assignment's pairs under its threshold.  The
-    witness is the perfect matching a cold Kuhn pass finds at d*: rows in
-    order, each row's columns ascending, a fresh visited set per row.  The
-    pass that tries the lower bound is that cold pass.
+    assignment of the ground matrix (solved as for finite p) is a perfect
+    matching whose largest entry bounds d* from above.  The lower bound is
+    tried first; if it fails, a binary search probes only the distinct
+    entries above it up to the upper bound, each probe warm-started from the
+    assignment's pairs under its threshold.  The witness is the perfect
+    matching a cold Kuhn pass finds at d*: rows in order, each row's columns
+    ascending, a fresh visited set per row.  The pass that tries the lower
+    bound is that cold pass.
     """
     if prob.params.p != math.inf:
         raise WrongSolverError("finite p requires solve_assignment_sum")
@@ -399,7 +453,7 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     witness = _perfect_matching_under(ground, lower)
     if witness is None:
         try:
-            start = np.array(_reduced_assignment(ground, prob.n_left_real, prob.n_right_real))
+            start = np.array(_min_sum_assignment(ground, prob.n_left_real, prob.n_right_real))
             upper = ground[np.arange(prob.n), start].max()
         except ValueError:
             # a NaN entry, which scipy rejects
@@ -462,7 +516,7 @@ def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
 def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
     """Ground-truth distance by exhausting every slot permutation."""
     prob, perms, objective = _exhaust(x, y, params, "brute_force_distance")
-    return _solved(prob, perms[int(np.argmin(objective))].tolist()).total
+    return _solved(prob, perms[int(np.argmin(objective))]).total
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
@@ -483,4 +537,4 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
     actions[actions > len(y)] = 0
     keys = actions @ (len(y) + 1) ** np.arange(len(x))
     _, first = np.unique(keys, return_index=True)
-    return [_solved(prob, perms[k].tolist()) for k in rows[np.sort(first)]]
+    return [_solved(prob, perms[k]) for k in rows[np.sort(first)]]

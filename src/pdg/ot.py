@@ -113,7 +113,7 @@ def verify_ot_equivalence(x: Diagram, y: Diagram, p: float, tol: float = 1e-9) -
     params = MetricParams(p, 2.0, tol)
     prob, perms, objective = _exhaust(x, y, params, "verify_ot_equivalence")
     assignment_value, _ = distance(x, y, params)
-    best = _solved(prob, perms[int(np.argmin(objective))].tolist())
+    best = _solved(prob, perms[int(np.argmin(objective))])
     coupling_min = transport_cost(prob, coupling_from_matching(best), p)
     return OtReport(assignment_value, coupling_min, abs(assignment_value - coupling_min) <= tol)
 

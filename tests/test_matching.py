@@ -35,7 +35,7 @@ from pdg import (
     verify_ot_equivalence,
 )
 from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_pair, single_tall_point
-from pdg.matching import _perfect_matching_under, _solved
+from pdg.matching import _copy_rule, _perfect_matching_under, _reduced_partners, _solved
 
 # augmented ground matrix for the four point configuration at q = 1: rows are
 # the two off-diagonal points of X then one diagonal copy per point of Y,
@@ -138,6 +138,26 @@ def far_apart_pair(rng, nx, ny):
     return draw(nx), draw(ny)
 
 
+def near_copy_pair(rng, n, extra):
+    """y is x (plus extra points) with every point moved by 1e-12 to 1e-6 of
+    its persistence and shuffled: each point of X has a partner in Y whose
+    pair cost is far below both diagonal costs."""
+    x = random_sized_pair(rng, n + extra, 0)[0]
+    coords = x.geometry()
+    shift = 10.0 ** rng.uniform(-12, -6, (n + extra, 1)) * (coords[:, 1:] - coords[:, :1])
+    moved = coords + shift * rng.uniform(-1, 1, (n + extra, 2))
+    return Diagram.from_pairs(coords[:n].tolist()), Diagram.from_pairs(rng.permutation(moved).tolist())
+
+
+def cluster_pair(rng, nx, ny, width):
+    """Every point within width of (0, 1) on both sides: the pair costs are
+    far below the diagonal costs, and the near optimal matchings are many."""
+    def draw(n):
+        return Diagram.from_pairs((rng.uniform(0, width, (n, 2)) + (0.0, 1.0)).tolist())
+
+    return draw(nx), draw(ny)
+
+
 def assert_canonical_copies(assignment, nx, ny):
     """A point sent to the diagonal takes its own copy, an unmatched point of Y
     takes its own copy, and a real pair's partners' copies pair together."""
@@ -153,27 +173,49 @@ def assert_canonical_copies(assignment, nx, ny):
 
 
 def test_reduced_solve_matches_the_square_solve():
-    # the reduced min(nx, ny) x (nx + ny) solve against linear_sum_assignment
-    # on the whole square cost matrix: the same value to 1e-12, bitwise on
-    # most cases (a near tie may round the other way in the reduced costs)
+    # solve_assignment_sum, and the reduction on its own at every size,
+    # against linear_sum_assignment on the whole square cost matrix: the same
+    # value to 1e-12 relative, bitwise wherever the two witnesses send the
+    # same points to the same partners.  Near-coincident diagrams, where the
+    # reduction rounds the close partners' costs together, must be refused.
     rng = np.random.default_rng(97)
     finite_p = GRID_P[:-1]
     pairs = [(random_sized_pair(rng, nx, ny), finite_p) for nx, ny in (
-        (0, 6), (5, 0), (1, 1), (3, 8), (9, 2), (30, 47), (71, 40), (400, 380))]
+        (0, 6), (5, 0), (1, 1), (3, 8), (9, 2), (12, 10), (30, 47), (71, 40), (400, 380))]
     pairs += [(integer_pair(rng, nx, ny), finite_p) for nx, ny in ((0, 3), (6, 9), (40, 25))]
     pairs += [(far_apart_pair(rng, nx, ny), (1.0,)) for nx, ny in ((4, 0), (5, 7), (30, 22))]
-    cases = bitwise = priced_out = 0
-    for (x, y), ps in pairs:
+    # with points that have no close partner, the value is no longer small
+    pairs += [(pair, finite_p) for pair in (
+        near_copy_pair(rng, 12, 1), cluster_pair(rng, 14, 11, 1e-7), cluster_pair(rng, 20, 23, 1e-4))]
+    near = [near_copy_pair(rng, n, 0) for n in (2, 12, 40)]
+    near += [cluster_pair(rng, n, n, width) for n, width in ((12, 1e-10), (16, 1e-7), (20, 1e-4))]
+    near += [(Diagram.from_pairs([(0, 1), (3e-10, 1)]), Diagram.from_pairs([(4e-10, 1), (1e-10, 1)]))]
+    cases = bitwise = same_action = priced_out = reduced = refused = 0
+    for (x, y), ps, close in [(*case, False) for case in pairs] + [(pair, finite_p, True) for pair in near]:
         nx, ny = len(x), len(y)
         for p in ps:
             for q in GRID_Q:
                 params = MetricParams(p, q)
                 prob = build_augmented_problem(x, y, params)
                 priced_out += not np.isfinite(prob.cost).all()
-                reference = _solved(prob, linear_sum_assignment(prob.cost)[1].tolist())
+                reference = _solved(prob, linear_sum_assignment(prob.cost)[1])
+                action = [j if j < ny else None for j in reference.assignment[:nx]]
                 m = solve_assignment_sum(prob)
-                assert abs(m.total - reference.total) <= 1e-12 * reference.total
-                assert_canonical_copies(m.assignment, nx, ny)
+                witnesses = [m]
+                if nx and ny:
+                    partner = _reduced_partners(prob.cost, nx, ny)
+                    if partner is None:
+                        refused += 1
+                    else:
+                        assert not close
+                        reduced += 1
+                        witnesses.append(_solved(prob, _copy_rule(partner, nx, ny)))
+                for w in witnesses:
+                    assert_canonical_copies(w.assignment, nx, ny)
+                    assert abs(w.total - reference.total) <= 1e-12 * reference.total
+                    if [j if j < ny else None for j in w.assignment[:nx]] == action:
+                        same_action += 1
+                        assert w.total == reference.total
                 value, witness = distance(x, y, params)
                 assert value == m.total
                 assert_canonical_copies(witness.assignment, nx, ny)
@@ -181,9 +223,11 @@ def test_reduced_solve_matches_the_square_solve():
                 assert distance(y, x, params)[0] == value
                 cases += 1
                 bitwise += m.total == reference.total
-    print(f"reduced solve: {bitwise} of {cases} values bitwise equal to the square solve's")
-    assert bitwise >= cases // 2
+    print(f"reduced solve: {bitwise} of {cases} values bitwise equal to the square solve's, "
+          f"{same_action} witnesses with its action; the reduction ran {reduced} times "
+          f"and was refused {refused} times")
     assert priced_out >= 6
+    assert reduced >= 100
 
 
 # distance(x, y, MetricParams(inf, q)) on random_sized_pair(default_rng(67), 20, 20):
