@@ -242,8 +242,8 @@ def _qnorm(dx: float, dy: float, q: float) -> float:
     if q == 2.0:
         return math.hypot(ax, ay)
     m = ax if ax >= ay else ay
-    if m == 0.0:
-        return 0.0
+    if m == 0.0 or m == math.inf:
+        return m
     return m * ((ax / m) ** q + (ay / m) ** q) ** (1.0 / q)
 
 

@@ -417,16 +417,17 @@ def characterization_audit(x: Diagram, y: Diagram, m: Matching, mid: Diagram,
     for leg, (source, target, image) in enumerate(triples):
         q_rate = ((source[0] - image[0]) / t, (source[1] - image[1]) / t)
         r_rate = ((image[0] - target[0]) / s, (image[1] - target[1]) / s)
+        rates = (q_rate, r_rate, (q_rate[0] - r_rate[0], q_rate[1] - r_rate[1]))
         try:
-            positive_terms.append(t * _qnorm(q_rate[0], q_rate[1], q) ** p)
-            positive_terms.append(s * _qnorm(r_rate[0], r_rate[1], q) ** p)
-            defect_terms.append(
-                t * s * _qnorm(q_rate[0] - r_rate[0], q_rate[1] - r_rate[1], q) ** p
-            )
+            powers = [_qnorm(a, b, q) ** p for a, b in rates]
         except OverflowError:
+            powers = [math.inf]
+        if not all(map(math.isfinite, powers)):  # an overflowed rate is inf, as is its power
             raise ValidationError(
                 f"audit leg {leg} at t = {t!r} has a rate whose p-th power (p = {p:g}) overflows a float"
-            ) from None
+            )
+        positive_terms += (t * powers[0], s * powers[1])
+        defect_terms.append(t * s * powers[2])
     endpoint, _ = distance(x, y, params)
     try:
         bound = endpoint ** p

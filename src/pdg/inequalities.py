@@ -134,8 +134,8 @@ def jensen_partition_slack(amounts, times, p: float) -> float:
 
 
 def largest_empirical_defect_constant(t: float, p: float, rng: np.random.Generator,
-                                      draws: int = 500, dim: int = 8) -> float:
-    """Largest C that keeps the p >= 2 defect slack nonnegative on a sample.
+                                      draws: int = 500) -> float:
+    """Largest C that keeps the p >= 2 defect slack nonnegative on draws pairs in [-1, 1]^8.
 
     Reported for inspection only; nothing here claims the value is sharp.
     """
@@ -144,8 +144,8 @@ def largest_empirical_defect_constant(t: float, p: float, rng: np.random.Generat
     t = _check_interior_t(t)
     best = math.inf
     for _ in range(draws):
-        a = rng.uniform(-1.0, 1.0, size=dim)
-        b = rng.uniform(-1.0, 1.0, size=dim)
+        a = rng.uniform(-1.0, 1.0, size=8)
+        b = rng.uniform(-1.0, 1.0, size=8)
         denom = t * (1.0 - t) * _powsum(a - b, p)
         if denom <= 0.0:
             continue

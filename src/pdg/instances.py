@@ -11,21 +11,21 @@ GRID_P = (1.0, 1.5, 2.0, 3.0, float("inf"))
 GRID_Q = (1.0, 2.0, float("inf"))
 
 
-def random_diagram(rng: np.random.Generator, count: int, *, coord_scale: float = 5.0,
-                   min_pers: float = 0.1, max_pers: float = 4.0) -> Diagram:
+def random_diagram(rng: np.random.Generator, count: int) -> Diagram:
+    """count points, births uniform in [-5, 5] and persistences in [0.1, 4]."""
     points = []
     for i in range(count):
-        birth = float(rng.uniform(-coord_scale, coord_scale))
-        pers = float(rng.uniform(min_pers, max_pers))
+        birth = float(rng.uniform(-5.0, 5.0))
+        pers = float(rng.uniform(0.1, 4.0))
         points.append(Point(birth, birth + pers, i))
     return Diagram(tuple(points))
 
 
-def random_pair(rng: np.random.Generator, max_total: int = 6, **kwargs) -> tuple[Diagram, Diagram]:
+def random_pair(rng: np.random.Generator, max_total: int = 6) -> tuple[Diagram, Diagram]:
     """Two random diagrams whose combined size stays within max_total."""
     first = int(rng.integers(0, max_total + 1))
     second = int(rng.integers(0, max_total - first + 1))
-    return random_diagram(rng, first, **kwargs), random_diagram(rng, second, **kwargs)
+    return random_diagram(rng, first), random_diagram(rng, second)
 
 
 def four_point_pair(k: float = 10.0) -> tuple[Diagram, Diagram]:

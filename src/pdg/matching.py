@@ -6,7 +6,8 @@ right slots are the points of Y followed by one diagonal copy per point of X.
 A real pair costs the l^q norm of the coordinate difference, a real point
 paired with a diagonal copy costs its perpendicular distance to the diagonal,
 and two diagonal copies pair for free.  A point whose distance to the
-diagonal exceeds the float range is refused.  The matrix is built by numpy
+diagonal exceeds the float range is refused, and a real pair whose norm
+overflows costs +inf at every p and q.  The matrix is built by numpy
 broadcasts over the two point arrays, each entry bitwise equal to the scalar
 norm, and a solver reads its witness's pair costs back from the matrix it
 solved; matching_cost reprices a given matching from the diagrams alone.
@@ -124,10 +125,9 @@ _qnorm_ufunc = np.frompyfunc(_qnorm, 3, 1)
 def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     """Elementwise l^q norms of the differences of the (broadcast) coordinate
     rows xs - ys, each bitwise what _qnorm gives.  Near +-1e308 a difference
-    overflows to inf, and _qnorm turns an infinite difference into NaN at q
-    other than 1, 2 and inf; both are priced by the callers, which run this
-    and _diagonal_grounds under one np.errstate that silences numpy's
-    warnings about them."""
+    overflows, and its norm is +inf at every q; the callers price it, and run
+    this and _diagonal_grounds under one np.errstate that silences numpy's
+    overflow warnings."""
     a = np.abs(xs - ys)
     ax = a[..., 0]
     ay = a[..., 1]
@@ -167,24 +167,20 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
     xs = x.geometry()
     ys = y.geometry()
     ground = np.zeros((n, n), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         ground[:nx, :ny] = _real_grounds(xs[:, None], ys[None, :], q)
         ground[:nx, ny:] = _diagonal_grounds(xs, q)[:, None]
         ground[nx:, :ny] = _diagonal_grounds(ys, q)
     if params.p == math.inf:
         return AugmentedProblem(x, y, params, ground, ground, 1.0)
     scale = float(ground.max()) if n else 0.0
-    finite = None
-    if not math.isfinite(scale):
-        # an overflowed norm (inf, or nan from _qnorm): scale by the finite
-        # entries and price the others out, which the solver accepts as +inf
-        finite = np.isfinite(ground)
-        scale = float(ground.max(where=finite, initial=0.0))
+    if scale == math.inf:
+        # an overflowed norm: scale by the entries below it; its own cost is
+        # then +inf, which the solver accepts as priced out
+        scale = float(ground.max(where=ground < math.inf, initial=0.0))
     if scale == 0.0:
         scale = 1.0
     cost = (ground / scale) ** params.p
-    if finite is not None:
-        cost[~finite] = math.inf
     return AugmentedProblem(x, y, params, ground, cost, scale)
 
 
@@ -210,7 +206,7 @@ def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[fl
     # a point of X goes to its partner in Y, or else to the diagonal
     partner = cols[:nx]
     real = partner < ny
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         grounds[:nx] = _diagonal_grounds(xs, q)
         grounds[:nx][real] = _real_grounds(xs[real], ys[partner[real]], q)
         # a diagonal copy takes a point of Y to the diagonal, or else another copy
@@ -220,16 +216,23 @@ def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[fl
     return grounds.tolist()
 
 
+def _fsum(terms) -> float:
+    """math.fsum of the terms of a p = 1 sum, refusing one that overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValidationError("the distance at p = 1 exceeds the float range") from None
+
+
 def _aggregate(grounds, p: float) -> float:
+    """The l^p norm of the grounds (their largest at p = inf), +inf where one is."""
     if not grounds:
         return 0.0
-    if p == math.inf:
-        return max(grounds)
-    if p == 1.0:
-        return math.fsum(grounds)
     scale = max(grounds)
-    if scale == 0.0:
-        return 0.0
+    if p == math.inf or scale == 0.0 or scale == math.inf:
+        return scale
+    if p == 1.0:
+        return _fsum(grounds)
     return scale * math.fsum((g / scale) ** p for g in grounds) ** (1.0 / p)
 
 
@@ -446,18 +449,11 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     if prob.n == 0:
         return Matching((), (), 0.0)
     ground = prob.ground
-    # fmin skips NaN entries (_qnorm of an infinite difference at q other than
-    # 1, 2 and inf), which are never edges; no diagonal entry is NaN, and every
-    # row and column has one
-    lower = max(np.fmin.reduce(ground, axis=1).max(), np.fmin.reduce(ground, axis=0).max())
+    lower = max(ground.min(axis=1).max(), ground.min(axis=0).max())
     witness = _perfect_matching_under(ground, lower)
     if witness is None:
-        try:
-            start = np.array(_min_sum_assignment(ground, prob.n_left_real, prob.n_right_real))
-            upper = ground[np.arange(prob.n), start].max()
-        except ValueError:
-            # a NaN entry, which scipy rejects
-            start, upper = None, math.inf
+        start = np.array(_min_sum_assignment(ground, prob.n_left_real, prob.n_right_real))
+        upper = ground[np.arange(prob.n), start].max()
         entries = np.unique(ground[(ground > lower) & (ground <= upper)])
         lo, hi = 0, len(entries) - 1
         while lo < hi:

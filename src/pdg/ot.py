@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagram import Diagram, MetricParams
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
-from .matching import AugmentedProblem, Matching, _exhaust, _solved, distance
+from .matching import AugmentedProblem, Matching, _exhaust, _fsum, _solved, distance
 
 MARGINAL_TOL = 1e-12
 
@@ -86,11 +86,11 @@ def transport_cost(prob: AugmentedProblem, coupling: Coupling, p: float) -> floa
     if not grounds:
         return 0.0
     scale = max(grounds)
-    if scale == 0.0:
-        return 0.0
+    if scale == 0.0 or scale == math.inf:
+        return scale
     pairs = zip(grounds, weights)
     if p == 1.0:
-        return math.fsum(g * w for g, w in pairs)
+        return _fsum(g * w for g, w in pairs)
     return scale * math.fsum((g / scale) ** p * w for g, w in pairs) ** (1.0 / p)
 
 

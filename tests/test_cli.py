@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -75,10 +76,14 @@ def test_gallery_output_shape(capsys):
     assert payload["curve"]["frames"][0]["points"] == [[0.0, 10.0]]
 
 
-def test_gallery_rejects_csv(capsys):
+def test_gallery_rejects_csv(diagram_files, capsys):
     code = main(["gallery", "mu_one", "--format", "csv"])
     assert code == 2
     assert "csv" in capsys.readouterr().err
+    assert main(["geodesic", *diagram_files, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: curve output has no csv form; use --format json\n"
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -169,6 +174,20 @@ def test_unrepresentable_diagonal_distance_is_exit_2(tmp_path, capsys):
             assert captured.err == f"error: {message}\n"
 
 
+def test_overflowing_p_one_sum_is_exit_2(tmp_path, capsys):
+    # each diagonal distance is 1e308 at q = 1, their sum is not a float
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"points": [[-1e308, 0], [0, 1e308]]}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"points": []}')
+    for command in ("dist", "geodesic"):
+        for files in ((wide, empty), (empty, wide)):
+            assert main([command, *map(str, files), "--p", "1", "--q", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: the distance at p = 1 exceeds the float range\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--trials", "-1", "--draws", "-5"],
     ["--trials", "0"],
@@ -208,6 +227,19 @@ def test_size_guard_is_exit_3(tmp_path, capsys):
     code = main(["classify", str(path), "--p", "2", "--q", "2"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_all_seed_0_stdout_is_pinned(capsys):
+    # every suite at its default size; a change to any check's row, value or
+    # order changes the digest
+    assert main(["verify", "all", "--seed", "0"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "67070cf2c6f4084b1bb8fb03924f33fee236fb8318f81cc8793a3a49308602f0"
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'metrics'; valid suites: metric, ot"):
+        run_suite("metrics")
 
 
 def test_verify_suite_json(capsys):

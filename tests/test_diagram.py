@@ -32,6 +32,10 @@ def test_ground_norm_examples():
     assert ground_norm((3.0, 4.0), math.inf) == 4.0
     assert ground_norm((-3.0, 4.0), 1.0) == 7.0
     assert ground_norm((0.0, 0.0), 1.5) == 0.0
+    # an overflowed coordinate difference: inf at every q, never NaN
+    for q in (1.0, 1.5, 2.0, 3.0, 7.5, math.inf):
+        assert ground_norm((math.inf, 1.0), q) == math.inf
+        assert ground_norm((1.0, -math.inf), q) == math.inf
 
 
 def test_ground_norm_general_q_between_bounds():
@@ -169,6 +173,19 @@ points_strategy = st.lists(
 def test_round_trip_random_diagrams(raw):
     d = Diagram.from_pairs([(b, b + gap) for b, gap in raw])
     assert parse_diagram(serialize_diagram(d)) == d
+
+
+def test_equal_diagrams_hash_equal():
+    parsed = parse_diagram('{"points": [[0, 1, 5], [2.5, 7]]}')
+    built = Diagram.from_pairs([(0.0, 1.0, 5), (2.5, 7.0)])
+    assert parsed == built and hash(parsed) == hash(built)
+    assert len({parsed, built, Diagram.from_pairs([(0.0, 1.0), (2.5, 7.0)])}) == 2
+    assert list(built) == [Point(0.0, 1.0, 5), Point(2.5, 7.0, 1)]
+    assert repr(parsed) == (
+        "Diagram(points=(Point(birth=0.0, death=1.0, index=5), Point(birth=2.5, death=7.0, index=1)))"
+    )
+    with pytest.raises(ValidationError, match="row 1 has 4 entries, expected 2 or 3"):
+        Diagram.from_pairs([(0.0, 1.0), (0.0, 1.0, 2, 3)])
 
 
 def test_geometry_array_shape():

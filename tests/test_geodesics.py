@@ -49,6 +49,10 @@ def test_sampled_curve_validation():
         SampledCurve((0.0, 0.0, 1.0), (Diagram(),) * 3)
     with pytest.raises(StructuralError):
         SampledCurve((0.0, 1.0), (Diagram(),))
+    with pytest.raises(ValidationError, match="at least 2 samples"):
+        SampledCurve((0.0,), (Diagram(),))
+    with pytest.raises(ValidationError, match="frames must be Diagram values"):
+        SampledCurve((0.0, 1.0), (Diagram(), {"points": []}))
 
 
 def test_reversed_round_trip():
@@ -68,6 +72,9 @@ def test_convex_combination_endpoints():
     end = convex_combination(x, y, witness, 1.0)
     assert geometry(start) == geometry(x)
     assert geometry(end) == geometry(y)
+    for t in (-0.25, 1.5, math.nan):
+        with pytest.raises(ParameterDomainError, match="must lie in \\[0, 1\\]"):
+            convex_combination(x, y, witness, t)
 
 
 def test_convex_combination_to_empty_passes_the_midpoint():
@@ -187,9 +194,9 @@ def test_detect_branching_requires_shared_grid():
 def test_parse_curve_round_trip():
     curve = sample_gallery("nu_r_one", 9, k=10.0, r=0.5)
     text = json.dumps(curve.to_dict())
-    again = parse_curve(text)
-    assert again.times == curve.times
-    assert [geometry(f) for f in again.frames] == [geometry(f) for f in curve.frames]
+    for again in (parse_curve(text), parse_curve(text.encode("utf-8"))):
+        assert again.times == curve.times
+        assert [geometry(f) for f in again.frames] == [geometry(f) for f in curve.frames]
 
 
 def test_parse_curve_rejections():
@@ -197,6 +204,9 @@ def test_parse_curve_rejections():
         parse_curve("[]")
     with pytest.raises(ParseError):
         parse_curve('{"times": [0.0, 1.0]}')
+    for fields in ('"times": [0.0, 1.0], "frames": {}', '"times": "0 1", "frames": []'):
+        with pytest.raises(ParseError, match='"times" and "frames" must be lists'):
+            parse_curve("{%s}" % fields)
     with pytest.raises(ValidationError, match="frame 1"):
         parse_curve('{"times": [0.0, 1.0], "frames": [{"points": []}, {"points": [[3, 1]]}]}')
     with pytest.raises(ValidationError):

@@ -36,6 +36,11 @@ def test_domain_errors():
         jensen_partition_slack([1.0], [0.0, 1.0], 1.0)
     with pytest.raises(StructuralError):
         clarkson_slack(np.array([1.0]), np.array([1.0, 2.0]), 2.0)
+    with pytest.raises(StructuralError, match="v must be a nonempty 1-d vector"):
+        clarkson_slack([], [], 2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(StructuralError, match="w holds non-finite entries"):
+            clarkson_slack(v, [1.0, bad], 2.0)
 
 
 def test_jensen_partition_shape_errors():

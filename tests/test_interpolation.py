@@ -21,6 +21,7 @@ from pdg import (
     convex_combination,
     diagonal_projection,
     distance,
+    identity_psi,
     matching_from_assignment,
 )
 from pdg.diagram import _qnorm
@@ -186,16 +187,23 @@ def test_interpolation_to_the_diagonal_near_the_float_range_end(p):
     assert diagonal_projection(Point(9.5e307, 9.8e307)) == (0.5 * 9.5e307 + 0.5 * 9.8e307,) * 2
 
 
-@pytest.mark.parametrize("pq, t", [(64.0, 1e-5), (2.0, 1e-155)])
+@pytest.mark.parametrize("pq, t", [(64.0, 1e-5), (2.0, 1e-155), (2.0, 1e-160)])
 def test_audit_rate_overflow_is_a_validation_error(pq, t):
     x = Diagram.from_pairs([(0.0, 4.0)])
     y = Diagram.from_pairs([(1.0, 6.0)])
     mid = Diagram.from_pairs([(50.0, 90.0)])
     params = MetricParams(pq, pq)
     _, m = distance(x, y, params)
-    psi = matching_from_assignment(convex_combination(x, y, m, t), mid, (1, 0), params)
+    frame = convex_combination(x, y, m, t)
+    psi = matching_from_assignment(frame, mid, (1, 0), params)
     with pytest.raises(ValidationError, match=r"audit leg 0 .*p = "):
         characterization_audit(x, y, m, mid, psi, t, params)
+    if pq == 2.0:  # at p = 64 the psi below has a pair cost that overflows
+        # the frame kept, and (0, 1e150) fed from the diagonal: at t = 1e-160
+        # its rate is itself inf, whose p-th power raises nothing
+        mid = Diagram.from_pairs([*frame.geometry().tolist(), (0.0, 1e150)])
+        with pytest.raises(ValidationError, match=r"audit leg 1 .*p = "):
+            characterization_audit(x, y, m, mid, identity_psi(frame, mid, params), t, params)
 
 
 def test_audit_bound_overflow_is_a_validation_error():

@@ -18,6 +18,7 @@ from pdg import (
     OtReport,
     Point,
     SizeGuardError,
+    StructuralError,
     ValidationError,
     WrongSolverError,
     brute_force_distance,
@@ -337,20 +338,43 @@ def test_threshold_search_matches_the_column_list_reference():
     assert outcomes[True] > 600 and outcomes[False] > 100
 
 
-def test_bottleneck_skips_nan_ground_entries():
+def test_bottleneck_prices_out_overflowed_ground_entries():
     # near the top of double range a coordinate difference overflows to inf,
-    # and its l^q norm at q = 1.5 or 3 is NaN; a NaN entry is never an edge,
-    # and scipy's minimum-sum assignment rejects the matrix
+    # and its l^q norm is +inf at q = 1.5 and 3 too, never NaN: an infinite
+    # entry is never an edge, and scipy's minimum-sum assignment accepts it
     x = Diagram.from_pairs([(-9.5e307, -9.4e307), (9.6e307, 9.9e307), (9.5e307, 9.8e307)])
     y = Diagram.from_pairs([(9.5e307, 9.8e307), (9.8e307, 1e308)])
     for q, value_hex in ((1.5, "0x1.b205c6136097cp+1017"), (3.0, "0x1.587be2c753d0cp+1017")):
         params = MetricParams(math.inf, q)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value, witness = distance(x, y, params)
-            assert np.isnan(build_augmented_problem(x, y, params).ground).any()
+            ground = build_augmented_problem(x, y, params).ground
+        assert not np.isnan(ground).any() and np.isinf(ground).any()
         assert value.hex() == value_hex
         assert witness.assignment == (4, 3, 2, 1, 0)
         assert matching_cost(x, y, witness, params) == value
+    # 14 x 15 points: the lower bound fails, so the search takes its upper
+    # bound from the reduced minimum-sum solve, over the infinite entries
+    x, y = far_apart_pair(np.random.default_rng(12), 14, 15)
+    for q in (1.0, 1.5, 3.0):
+        params = MetricParams(math.inf, q)
+        value, witness = distance(x, y, params)
+        ground = build_augmented_problem(x, y, params).ground
+        assert np.isinf(ground).any()
+        assert value > max(ground.min(axis=0).max(), ground.min(axis=1).max())
+        assert value in ground and matching_cost(x, y, witness, params) == value
+        below = maximum_bipartite_matching(csr_matrix(ground < value), perm_type="column")
+        assert (below < 0).any()
+
+
+def test_matching_cost_rejects_a_non_permutation():
+    x, y = four_point_pair()
+    params = MetricParams(2.0, 2.0)
+    with pytest.raises(StructuralError, match="covers 3 slots but the diagrams define 4"):
+        matching_cost(x, y, Matching((0, 1, 2), (), 0.0), params)
+    with pytest.raises(StructuralError, match="not a permutation of the right slots"):
+        matching_cost(x, y, Matching((0, 1, 1, 3), (), 0.0), params)
 
 
 def test_four_point_distance_is_four():
@@ -577,10 +601,23 @@ def test_overflowing_coordinates_stay_quiet():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 value, witness = distance(x, y, params)
-                # the real pair's difference overflows: inf, or NaN through _qnorm at q = 3
-                assert not math.isfinite(matching_cost(x, y, Matching((0, 1), (), value), params))
+                # the real pair's difference overflows, and its norm is +inf at every q
+                assert matching_cost(x, y, Matching((0, 1), (), value), params) == math.inf
             assert value == matching_cost(x, y, witness, params)
             assert math.isfinite(value)
+
+
+def test_matching_through_an_overflowing_pair_costs_inf():
+    # the overflowing pair (slot 1 -> slot 1) sits after a finite one, so a
+    # NaN there would be skipped by max and poison only the sums
+    x = Diagram.from_pairs([(0.0, 1.0), (-9.5e307, -9.4e307)])
+    y = Diagram.from_pairs([(0.0, 1.0), (9.5e307, 9.8e307)])
+    identity = Matching((0, 1, 2, 3), (), 0.0)
+    for p in (1.0, 2.0, math.inf):
+        for q in (1.5, 2.0, 3.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert matching_cost(x, y, identity, MetricParams(p, q)) == math.inf
 
 
 def test_overflowing_persistence_keeps_a_finite_diagonal_distance():

@@ -12,6 +12,7 @@ from pdg import (
     ParameterDomainError,
     SizeGuardError,
     StructuralError,
+    ValidationError,
     brute_force_distance,
     build_augmented_problem,
     coupling_from_matching,
@@ -58,6 +59,20 @@ def test_transport_cost_requires_q2_and_finite_p():
         transport_cost(prob, plan, math.inf)
     with pytest.raises(StructuralError):
         transport_cost(prob, Coupling(np.eye(prob.n + 1)), 2.0)
+
+
+def test_transport_cost_beyond_the_float_range():
+    # three diagonal distances of 2^-1/2 * 1e308: their sum is not a float
+    x = Diagram.from_pairs([(-1e308, 0.0), (0.0, 1e308), (-5e307, 5e307)])
+    prob = build_augmented_problem(x, Diagram(), MetricParams(1.0, 2.0))
+    with pytest.raises(ValidationError, match="the distance at p = 1 exceeds the float range"):
+        transport_cost(prob, Coupling(np.eye(3)), 1.0)
+    # a plan that moves mass along a pair whose norm overflows costs +inf
+    x = Diagram.from_pairs([(-9.5e307, -9.4e307)])
+    y = Diagram.from_pairs([(9.5e307, 9.8e307)])
+    for p in (1.0, 1.5, 2.0):
+        prob = build_augmented_problem(x, y, MetricParams(p, 2.0))
+        assert transport_cost(prob, Coupling(np.full((2, 2), 0.5)), p) == math.inf
 
 
 def test_permutation_coupling_cost_equals_matching_cost_exactly():
