@@ -17,7 +17,7 @@ import math
 import sys
 
 from .diagram import DEFAULT_TOL, MetricParams, parse_diagram, parse_extended
-from .errors import PdgError, SizeGuardError
+from .errors import PdgError, SizeGuardError, ValidationError
 from .gallery import GALLERY_NAMES
 from .geodesics import (
     DEFAULT_GRID,
@@ -27,7 +27,7 @@ from .geodesics import (
     sample_convex_combination,
     sample_gallery,
 )
-from .matching import distance
+from .matching import Matching, distance
 from .verification import SUITES, run_suite
 
 
@@ -78,6 +78,22 @@ def _pq_json(params: MetricParams) -> dict:
     }
 
 
+def _pair_costs(witness: Matching, p: float) -> list[float]:
+    """Each pair's ground cost to the p-th power, the ground itself at p = inf."""
+    if p == math.inf:
+        return list(witness.grounds)
+    costs = []
+    for i, g in enumerate(witness.grounds):
+        try:
+            costs.append(g ** p)
+        except OverflowError:
+            raise ValidationError(
+                f"left slot {i} pairs with right slot {witness.assignment[i]} at ground cost {g!r}, "
+                f"whose p-th power (p = {p:g}) overflows a float"
+            ) from None
+    return costs
+
+
 def _run_dist(args: argparse.Namespace) -> int:
     x = _read_diagram(args.x)
     y = _read_diagram(args.y)
@@ -87,7 +103,7 @@ def _run_dist(args: argparse.Namespace) -> int:
         **_pq_json(params),
         "value": value,
         "assignment": list(witness.assignment),
-        "pair_costs": list(witness.pair_costs),
+        "pair_costs": _pair_costs(witness, params.p),
         "total": witness.total,
     }
     _emit(_flat_csv(payload) if args.format == "csv" else _as_json(payload), args.out)

@@ -9,8 +9,10 @@ and two diagonal copies pair for free.  A point whose distance to the
 diagonal exceeds the float range is refused, and a real pair whose norm
 overflows costs +inf at every p and q.  The matrix is built by numpy
 broadcasts over the two point arrays, each entry bitwise equal to the scalar
-norm, and a solver reads its witness's pair costs back from the matrix it
+norm, and a solver reads its witness's grounds back from the matrix it
 solved; matching_cost reprices a given matching from the diagrams alone.
+Both total the grounds by one l^p sum, _aggregate, which refuses a finite
+total beyond the float range at every finite p.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
 O(n^3) method).  From REDUCED_FROM points on each side it solves a reduced
@@ -19,13 +21,16 @@ and the diagonal, min(n_x, n_y) x (n_x + n_y) entries, so the zero block of
 copy pairs never reaches the solver.  The reduction subtracts diagonal
 costs from pair costs, so where the two diagrams nearly coincide it rounds
 the close partners' costs together; its result is then refused and the
-square matrix solved instead.  At about 400 points per side with q = 1 and
-p >= 1.5 the reduced solve is slower than the square one (1.3-1.4x); it is
-about even at 200, and faster at other exponents and smaller sizes.  Either
-way the square witness follows one canonical rule for the interchangeable
-diagonal copies: a point sent to the diagonal takes its own copy, and so
-does an unmatched point on the other side, and the copies of a real pair's
-two points pair with each other.
+square matrix solved instead.  Timed against the square solve on four
+random pairs per cell (births in [-5, 5], persistences in [0.1, 4], best of
+3 on a shared 2-core Xeon), the reduced solve took 0.44-1.12x its time at
+100 points per side, but at 400 per side with q = 1 it took 1.29-3.06x in
+one series and 1.38-2.01x at p = 1.5 and 2 in another (0.56-0.85x at
+p = 1); with q = 2 it took 0.86-1.43x there.  Either way the square
+witness follows one canonical rule for the interchangeable diagonal copies:
+a point sent to the diagonal takes its own copy, and so does an unmatched
+point on the other side, and the copies of a real pair's two points pair
+with each other.
 
 For p = inf the solver minimizes the largest selected entry: the optimum is
 the smallest entry whose threshold graph has a perfect matching, so the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,16 +64,15 @@ FACTORIAL_GUARD = 9
 
 @dataclass(frozen=True)
 class Matching:
-    """A bijection between augmented slots together with its cost breakdown.
+    """A bijection between augmented slots together with its ground costs.
 
-    ``assignment[i] = j`` pairs left slot i with right slot j.  For finite p
-    the pair costs are the p-th powers of the ground costs and the total is
-    (sum pair_costs)^(1/p); for p = inf the pair costs are the ground costs
-    themselves and the total is their maximum.
+    ``assignment[i] = j`` pairs left slot i with right slot j at ground cost
+    ``grounds[i]``.  The total is their l^p norm, (sum grounds^p)^(1/p) for
+    finite p and their maximum for p = inf.
     """
 
     assignment: tuple[int, ...]
-    pair_costs: tuple[float, ...]
+    grounds: tuple[float, ...]
     total: float
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -75,13 +80,8 @@ class Matching:
 
     def inverse(self) -> "Matching":
         """The same matching viewed from the other diagram's side."""
-        n = len(self.assignment)
-        inv = [0] * n
-        costs = [0.0] * n
-        for i, j in enumerate(self.assignment):
-            inv[j] = i
-            costs[j] = self.pair_costs[i]
-        return Matching(tuple(inv), tuple(costs), self.total)
+        inv = sorted(range(len(self.assignment)), key=self.assignment.__getitem__)
+        return Matching(tuple(inv), tuple(self.grounds[i] for i in inv), self.total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +194,7 @@ def _check_assignment(x: Diagram, y: Diagram, assignment) -> None:
         raise StructuralError("assignment is not a permutation of the right slots")
 
 
-def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[float]:
+def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> tuple[float, ...]:
     """The n selected entries of the ground matrix, computed without building it."""
     _check_assignment(x, y, assignment)
     nx = len(x)
@@ -213,51 +213,40 @@ def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> list[fl
         partner = cols[nx:]
         real = partner < ny
         grounds[nx:][real] = _diagonal_grounds(ys[partner[real]], q)
-    return grounds.tolist()
+    return tuple(grounds.tolist())
 
 
-def _fsum(terms) -> float:
-    """math.fsum of the terms of a p = 1 sum, refusing one that overflows."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise ValidationError("the distance at p = 1 exceeds the float range") from None
-
-
-def _aggregate(grounds, p: float) -> float:
-    """The l^p norm of the grounds (their largest at p = inf), +inf where one is."""
+def _aggregate(grounds, p: float, weights=None) -> float:
+    """The l^p norm of the grounds, each p-th power times its weight where
+    weights are given: scale * (sum w * (g / scale)^p)^(1/p), scale the
+    largest ground, and sum w * g at p = 1; their largest at p = inf.  It is
+    +inf where a ground is, and a total of finite grounds beyond the float
+    range is refused."""
     if not grounds:
         return 0.0
     scale = max(grounds)
     if p == math.inf or scale == 0.0 or scale == math.inf:
         return scale
-    if p == 1.0:
-        return _fsum(grounds)
-    return scale * math.fsum((g / scale) ** p for g in grounds) ** (1.0 / p)
-
-
-def _matching(assignment: tuple[int, ...], grounds: list[float], p: float) -> Matching:
-    total = _aggregate(grounds, p)
-    if p == math.inf:
-        return Matching(assignment, tuple(grounds), total)
-    pair_costs = []
-    for i, g in enumerate(grounds):
-        try:
-            pair_costs.append(g ** p)
-        except OverflowError:
-            raise ValidationError(
-                f"left slot {i} pairs with right slot {assignment[i]} at ground cost {g!r}, "
-                f"whose p-th power (p = {p:g}) overflows a float"
-            ) from None
-    return Matching(assignment, tuple(pair_costs), total)
+    terms = grounds if p == 1.0 else [(g / scale) ** p for g in grounds]
+    if weights is not None:
+        terms = map(operator.mul, terms, weights)
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if p != 1.0:
+        total = scale * total ** (1.0 / p)
+    if total == math.inf:
+        raise ValidationError(f"the distance at p = {p:g} exceeds the float range")
+    return total
 
 
 def _solved(prob: AugmentedProblem, assignment) -> Matching:
-    """The matching of a solved assignment, its pair grounds read from prob.ground."""
+    """The matching of a solved assignment, its grounds read from prob.ground."""
     if isinstance(assignment, np.ndarray):
         assignment = assignment.tolist()
-    grounds = list(map(prob.ground.item, range(prob.n), assignment))
-    return _matching(tuple(assignment), grounds, prob.params.p)
+    grounds = tuple(map(prob.ground.item, range(prob.n), assignment))
+    return Matching(tuple(assignment), grounds, _aggregate(grounds, prob.params.p))
 
 
 def matching_cost(x: Diagram, y: Diagram, m: Matching, params: MetricParams) -> float:
@@ -269,7 +258,7 @@ def matching_cost(x: Diagram, y: Diagram, m: Matching, params: MetricParams) -> 
 def matching_from_assignment(x: Diagram, y: Diagram, assignment, params: MetricParams) -> Matching:
     """Materialize a Matching (with costs) from a bare slot permutation."""
     grounds = _assignment_grounds(x, y, assignment, params.q)
-    return _matching(tuple(int(j) for j in assignment), grounds, params.p)
+    return Matching(tuple(map(int, assignment)), grounds, _aggregate(grounds, params.p))
 
 
 def _copy_rule(partner: list[int], nx: int, ny: int) -> list[int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagram import Diagram, MetricParams
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
-from .matching import AugmentedProblem, Matching, _exhaust, _fsum, _solved, distance
+from .matching import AugmentedProblem, Matching, _aggregate, _exhaust, _solved, distance
 
 MARGINAL_TOL = 1e-12
 
@@ -67,8 +67,10 @@ def coupling_from_matching(m: Matching) -> Coupling:
 def transport_cost(prob: AugmentedProblem, coupling: Coupling, p: float) -> float:
     """(sum_ij ground_ij^p * gamma_ij)^(1/p) for the Euclidean ground metric.
 
-    Computed over the support of the plan with the same normalization as the
-    matching cost, so a permutation plan reproduces the matching total exactly.
+    The matching total's l^p sum (_aggregate) over the support of the plan,
+    each term weighted by its plan entry, so a permutation plan reproduces
+    the matching total exactly and a total beyond the float range is refused
+    alike.
     """
     if prob.params.q != 2.0:
         raise ParameterDomainError(
@@ -81,17 +83,7 @@ def transport_cost(prob: AugmentedProblem, coupling: Coupling, p: float) -> floa
             f"coupling has {coupling.n} slots but the problem defines {prob.n}"
         )
     support = np.nonzero(coupling.matrix > 0.0)
-    grounds = prob.ground[support].tolist()
-    weights = coupling.matrix[support].tolist()
-    if not grounds:
-        return 0.0
-    scale = max(grounds)
-    if scale == 0.0 or scale == math.inf:
-        return scale
-    pairs = zip(grounds, weights)
-    if p == 1.0:
-        return _fsum(g * w for g, w in pairs)
-    return scale * math.fsum((g / scale) ** p * w for g, w in pairs) ** (1.0 / p)
+    return _aggregate(prob.ground[support].tolist(), p, coupling.matrix[support].tolist())
 
 
 @dataclass(frozen=True)

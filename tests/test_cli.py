@@ -237,6 +237,42 @@ def test_verify_all_seed_0_stdout_is_pinned(capsys):
     assert digest == "67070cf2c6f4084b1bb8fb03924f33fee236fb8318f81cc8793a3a49308602f0"
 
 
+def _points(n, salt):
+    # a fixed diagram of n points, built by integer arithmetic so its text is stable
+    return [[(i * 37 + salt) % 97 / 8, (i * 37 + salt) % 97 / 8 + 0.5 + (i * 53 + salt) % 61 / 16]
+            for i in range(n)]
+
+
+DIST_GRID_PAIRS = [
+    (_points(15, 0), _points(16, 11)),  # the reduced solve, from 12 per side
+    (_points(3, 5), _points(4, 7)),
+    (_points(3, 5), []),
+    ([[-9.5e307, -9.4e307]], [[9.5e307, 9.8e307]]),  # an overflowing real pair
+    ([[0, 1e200]], []),  # a finite ground whose square is not a float
+]
+
+
+def test_dist_stdout_grid_is_pinned(tmp_path, capsys):
+    # stdout and exit code of pdg dist over both argument orders, four p,
+    # three q and both formats; a change to any value, witness or refusal
+    # changes the digest
+    digest = hashlib.sha256()
+    for k, pair in enumerate(DIST_GRID_PAIRS):
+        files = []
+        for side, points in zip("xy", pair):
+            path = tmp_path / f"{side}{k}.json"
+            path.write_text(json.dumps({"points": points}))
+            files.append(str(path))
+        for order in (files, files[::-1]):
+            for p in ("1", "1.5", "2", "inf"):
+                for q in ("1", "2", "3"):
+                    for fmt in ("json", "csv"):
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            code = main(["dist", *order, "--p", p, "--q", q, "--format", fmt])
+                        digest.update(f"{capsys.readouterr().out}exit {code}\n".encode("utf-8"))
+    assert digest.hexdigest() == "5f0aee036290e096cbfbc039db4d17bb8686da4fccf8fd78a36ead9d2dc57209"
+
+
 def test_run_suite_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="unknown suite 'metrics'; valid suites: metric, ot"):
         run_suite("metrics")

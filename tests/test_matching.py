@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdg import (
     AugmentedProblem,
+    Coupling,
     Diagram,
     Matching,
     MetricParams,
@@ -35,6 +36,7 @@ from pdg import (
     transport_cost,
     verify_ot_equivalence,
 )
+from pdg.cli import main
 from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_pair, single_tall_point
 from pdg.matching import _copy_rule, _perfect_matching_under, _reduced_partners, _solved
 
@@ -129,8 +131,8 @@ def integer_pair(rng, nx, ny):
 
 def far_apart_pair(rng, nx, ny):
     """Points near -9.5e307 and +9.5e307: a pair across the two groups has a
-    coordinate difference beyond the float range and is priced out.  Only
-    p = 1 can price these diagrams: at p > 1 a ground's p-th power overflows."""
+    coordinate difference beyond the float range and is priced out, its
+    cost +inf at every p.  The distance itself stays finite."""
     def draw(n):
         births = rng.choice([-9.5e307, 9.5e307], n) + rng.uniform(-1e306, 1e306, n)
         deaths = births + rng.uniform(1e305, 1e306, n)
@@ -184,7 +186,7 @@ def test_reduced_solve_matches_the_square_solve():
     pairs = [(random_sized_pair(rng, nx, ny), finite_p) for nx, ny in (
         (0, 6), (5, 0), (1, 1), (3, 8), (9, 2), (12, 10), (30, 47), (71, 40), (400, 380))]
     pairs += [(integer_pair(rng, nx, ny), finite_p) for nx, ny in ((0, 3), (6, 9), (40, 25))]
-    pairs += [(far_apart_pair(rng, nx, ny), (1.0,)) for nx, ny in ((4, 0), (5, 7), (30, 22))]
+    pairs += [(far_apart_pair(rng, nx, ny), finite_p) for nx, ny in ((4, 0), (5, 7), (30, 22))]
     # with points that have no close partner, the value is no longer small
     pairs += [(pair, finite_p) for pair in (
         near_copy_pair(rng, 12, 1), cluster_pair(rng, 14, 11, 1e-7), cluster_pair(rng, 20, 23, 1e-4))]
@@ -620,7 +622,7 @@ def test_matching_through_an_overflowing_pair_costs_inf():
                 assert matching_cost(x, y, identity, MetricParams(p, q)) == math.inf
 
 
-def test_overflowing_persistence_keeps_a_finite_diagonal_distance():
+def test_overflowing_persistence_keeps_a_finite_diagonal_distance(tmp_path, capsys):
     # death - birth overflows, yet at q = 2 and inf c * death - c * birth fits;
     # the second point keeps the finite c * (death - birth)
     tall = Point(-1e308, 1e308, 0)
@@ -638,8 +640,43 @@ def test_overflowing_persistence_keeps_a_finite_diagonal_distance():
                 assert distance(Diagram(), x, params)[0] == value
             assert math.isfinite(value)
     assert diagonal_distance(tall, 2.0) == 2.0 ** -0.5 * 1e308 - 2.0 ** -0.5 * -1e308
-    with pytest.raises(ValidationError, match="overflows a float"):
-        distance(x, Diagram(), MetricParams(2.0, 2.0))
+    # the tall point's ground squared overflows, the distance does not: the
+    # witness keeps the grounds, and only pdg dist, which prints their p-th
+    # powers, refuses it
+    params = MetricParams(2.0, 2.0)
+    value, witness = distance(x, Diagram(), params)
+    assert math.isfinite(value)
+    assert value == matching_cost(x, Diagram(), witness, params) == distance(Diagram(), x, params)[0]
+    tall_file = tmp_path / "tall.json"
+    tall_file.write_text('{"points": [[-1e308, 1e308], [0, 1]]}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"points": []}')
+    assert main(["dist", str(tall_file), str(empty), "--p", "2"]) == 2
+    assert "left slot 0 pairs with right slot" in capsys.readouterr().err
+
+
+def test_a_total_beyond_the_float_range_is_refused_at_every_finite_p():
+    # four diagonal distances of about 1.13e308 at q = 2: their l^p norm,
+    # 4^(1/p) times that, exceeds the float range at p = 1, 1.5 and 2, and
+    # fits at p = 3 (1.796e308)
+    x = Diagram.from_pairs([(-0.8e308, 0.8e308 + k * 1e293) for k in range(4)])
+    identity = Matching(tuple(range(4)), (), 0.0)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        params = MetricParams(p, 2.0)
+        prob = build_augmented_problem(x, Diagram(), params)
+        totals = (
+            lambda: distance(x, Diagram(), params)[0],
+            lambda: distance(Diagram(), x, params)[0],
+            lambda: matching_cost(x, Diagram(), identity, params),
+            lambda: transport_cost(prob, Coupling(np.eye(4)), p),
+        )
+        if p == 3.0:
+            values = {total() for total in totals}
+            assert len(values) == 1 and 1.79e308 < values.pop() < math.inf
+            continue
+        for total in totals:
+            with pytest.raises(ValidationError, match=f"the distance at p = {p:g} exceeds the float range"):
+                total()
 
 
 def test_unrepresentable_diagonal_distance_is_refused():
@@ -747,6 +784,20 @@ def test_matching_inverse_round_trip():
     _, witness = distance(x, y, params)
     assert witness.inverse().inverse() == witness
     assert witness.inverse().total == witness.total
+    # the inverse is, bitwise, the matching the diagrams give its assignment
+    # from the other side
+    rng = np.random.default_rng(71)
+    for nx, ny in ((0, 3), (2, 0), (1, 1), (3, 4), (7, 5), (13, 16)):
+        pair = random_sized_pair(rng, nx, ny)
+        for x, y in (pair, pair[::-1]):
+            for p in GRID_P:
+                for q in GRID_Q:
+                    params = MetricParams(p, q)
+                    inverse = distance(x, y, params)[1].inverse()
+                    rebuilt = matching_from_assignment(y, x, inverse.assignment, params)
+                    assert inverse.assignment == rebuilt.assignment
+                    assert [*map(float.hex, inverse.grounds)] == [*map(float.hex, rebuilt.grounds)]
+                    assert inverse.total.hex() == rebuilt.total.hex()
 
 
 small_coord = st.integers(min_value=-8, max_value=8)
