@@ -34,14 +34,15 @@ with each other.
 
 For p = inf the solver minimizes the largest selected entry: the optimum is
 the smallest entry whose threshold graph has a perfect matching, so the
-reported bottleneck value is always an exact matrix entry.  The search is
+reported bottleneck value is always an exact matrix entry.  Each threshold
+is probed by one linear_sum_assignment with +inf above it, which scipy
+refuses as infeasible where no perfect matching is left.  The search is
 bracketed between the largest row or column minimum and the largest entry of
-a minimum-sum assignment (solved as for finite p), tries the lower bound
-first, and binary-searches the distinct entries in between with Kuhn's
-augmenting paths over one column bitmask per row, warm-started from that
-assignment and run on an explicit stack.  The witness is the matching a
-cold Kuhn pass finds at the optimum, rows in order and each row's columns
-ascending, whatever the search probed.
+a minimum-sum assignment of the scaled ground (solved as for finite p),
+tries the lower bound first, and binary-searches the distinct entries in
+between.  The witness is, among the assignments whose entries all lie within
+the optimum, one of least ground sum (scaled by the largest finite ground),
+its diagonal copies placed by the finite-p rule.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class AugmentedProblem:
     """The square cost model for one ordered pair of diagrams.
 
     ``ground`` holds raw l^q pair costs.  ``cost`` holds the solver objective:
-    (ground / scale)^p for finite p (scale is the largest ground entry, which
+    (ground / scale)^p for finite p (scale is the largest finite ground, which
     keeps powers bounded by one) and ground itself for p = inf.
     """
 
@@ -159,6 +160,16 @@ def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
     return grounds
 
 
+def _finite_scale(ground: np.ndarray) -> float:
+    """The largest finite ground entry, or 1.0 where that is 0.  An overflowed
+    norm is left out, so its scaled cost is +inf, which the solvers accept as
+    priced out."""
+    scale = float(ground.max()) if ground.size else 0.0
+    if scale == math.inf:
+        scale = float(ground.max(where=ground < math.inf, initial=0.0))
+    return scale or 1.0
+
+
 def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> AugmentedProblem:
     nx = len(x)
     ny = len(y)
@@ -173,13 +184,7 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
         ground[nx:, :ny] = _diagonal_grounds(ys, q)
     if params.p == math.inf:
         return AugmentedProblem(x, y, params, ground, ground, 1.0)
-    scale = float(ground.max()) if n else 0.0
-    if scale == math.inf:
-        # an overflowed norm: scale by the entries below it; its own cost is
-        # then +inf, which the solver accepts as priced out
-        scale = float(ground.max(where=ground < math.inf, initial=0.0))
-    if scale == 0.0:
-        scale = 1.0
+    scale = _finite_scale(ground)
     cost = (ground / scale) ** params.p
     return AugmentedProblem(x, y, params, ground, cost, scale)
 
@@ -347,112 +352,52 @@ def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
     return _solved(prob, _min_sum_assignment(prob.cost, prob.n_left_real, prob.n_right_real))
 
 
-def _threshold_adjacency(ground: np.ndarray, tau: float) -> list[int]:
-    """For each row, the columns of its entries <= tau as a bitmask (bit j
-    for column j)."""
-    packed = np.packbits(ground <= tau, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
-
-
-def _augment(root: int, adj: list[int], row_of: list[int], unseen: int) -> bool:
-    """Kuhn's depth-first search for an augmenting path from the free row root.
-
-    Rows try their columns in ascending order and a column is entered at most
-    once per root (unseen, a bitmask of the columns not yet entered, starts
-    full for every root), the order of the textbook recursion, kept on an
-    explicit stack so that a long chain cannot exhaust Python's.  A row has
-    entered or skipped every column below the last one it tried, so its next
-    column is its lowest one still unseen.  On success the path is flipped
-    into row_of (the row matched to each column).
-    """
-    rows = [root]
-    cols: list[int] = []
-    row = root
-    while True:
-        avail = adj[row] & unseen
-        if not avail:
-            rows.pop()
-            if not rows:
-                return False
-            cols.pop()
-            row = rows[-1]
-            continue
-        bit = avail & -avail
-        unseen ^= bit
-        j = bit.bit_length() - 1
-        cols.append(j)
-        row = row_of[j]
-        if row < 0:
-            for i, c in zip(rows, cols):
-                row_of[c] = i
-            return True
-        rows.append(row)
-
-
-def _perfect_matching_under(ground: np.ndarray, tau: float, start=None):
-    """Perfect matching using only entries <= tau, or None.
-
-    start, a column per row, warm-starts the search: its pairs with an entry
-    <= tau are kept and only the rows it leaves free are augmented.  Without
-    it every row is augmented from scratch, in row order.
-    """
-    n = ground.shape[0]
-    adj = _threshold_adjacency(ground, tau)
-    row_of = [-1] * n
-    free = range(n)
-    if start is not None:
-        kept = ground[np.arange(n), start] <= tau
-        for i, j in zip(np.flatnonzero(kept).tolist(), start[kept].tolist()):
-            row_of[j] = i
-        free = np.flatnonzero(~kept).tolist()
-    every = (1 << n) - 1
-    for i in free:
-        if not _augment(i, adj, row_of, every):
-            return None
-    assignment = [-1] * n
-    for j, i in enumerate(row_of):
-        assignment[i] = j
-    return tuple(assignment)
+def _cheapest_under(ground: np.ndarray, cost, tau: float):
+    """The columns of an assignment that uses only ground entries <= tau and
+    has the least sum of cost among those, or None where no such assignment
+    exists (scipy reports an infeasible matrix).  cost may be the scalar 0.0:
+    the probe is then a pure feasibility check."""
+    try:
+        return linear_sum_assignment(np.where(ground <= tau, cost, math.inf))[1]
+    except ValueError:
+        return None
 
 
 def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     """Minimum-bottleneck assignment for p = inf.
 
-    The optimum d* is the smallest ground entry whose threshold graph
-    (entries <= d*) has a perfect matching, so the returned total is exactly
-    one of the matrix entries.  The search is bracketed: every perfect
-    matching reaches the largest row or column minimum, and the minimum-sum
-    assignment of the ground matrix (solved as for finite p) is a perfect
-    matching whose largest entry bounds d* from above.  The lower bound is
-    tried first; if it fails, a binary search probes only the distinct
-    entries above it up to the upper bound, each probe warm-started from the
-    assignment's pairs under its threshold.  The witness is the perfect
-    matching a cold Kuhn pass finds at d*: rows in order, each row's columns
-    ascending, a fresh visited set per row.  The pass that tries the lower
-    bound is that cold pass.
+    The optimum d* is the smallest ground entry whose threshold graph has a
+    perfect matching, so the total is exactly a matrix entry.  The lower
+    bound (the largest row or column minimum) is probed first; if it fails, a
+    binary search probes the distinct entries above it up to the largest
+    entry of a minimum-sum assignment of the scaled ground.  The witness is
+    the least scaled ground sum under d*: the minimum-sum assignment where its
+    largest entry is d*, else one more probe at d*, priced.  Its diagonal
+    copies are placed by _copy_rule, as at finite p.
     """
     if prob.params.p != math.inf:
         raise WrongSolverError("finite p requires solve_assignment_sum")
     if prob.n == 0:
         return Matching((), (), 0.0)
     ground = prob.ground
+    nx, ny = prob.n_left_real, prob.n_right_real
+    priced = ground / _finite_scale(ground)
     lower = max(ground.min(axis=1).max(), ground.min(axis=0).max())
-    witness = _perfect_matching_under(ground, lower)
-    if witness is None:
-        start = np.array(_min_sum_assignment(ground, prob.n_left_real, prob.n_right_real))
-        upper = ground[np.arange(prob.n), start].max()
+    cols = _cheapest_under(ground, priced, lower)
+    if cols is None:
+        cols = np.array(_min_sum_assignment(priced, nx, ny))
+        upper = ground[np.arange(prob.n), cols].max()
         entries = np.unique(ground[(ground > lower) & (ground <= upper)])
         lo, hi = 0, len(entries) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if _perfect_matching_under(ground, float(entries[mid]), start) is not None:
+            if _cheapest_under(ground, 0.0, entries[mid]) is not None:
                 hi = mid
             else:
                 lo = mid + 1
-        witness = _perfect_matching_under(ground, float(entries[lo]))
-    return _solved(prob, witness)
+        if hi < len(entries) - 1:
+            cols = _cheapest_under(ground, priced, entries[lo])
+    return _solved(prob, _copy_rule(cols[:nx].tolist(), nx, ny))
 
 
 def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Matching]:

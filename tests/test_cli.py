@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -252,11 +253,9 @@ DIST_GRID_PAIRS = [
 ]
 
 
-def test_dist_stdout_grid_is_pinned(tmp_path, capsys):
-    # stdout and exit code of pdg dist over both argument orders, four p,
-    # three q and both formats; a change to any value, witness or refusal
-    # changes the digest
-    digest = hashlib.sha256()
+def _dist_grid(tmp_path, capsys, ps):
+    """stdout and exit code of pdg dist over both argument orders of every
+    grid pair, each p in ps, three q and both formats."""
     for k, pair in enumerate(DIST_GRID_PAIRS):
         files = []
         for side, points in zip("xy", pair):
@@ -264,13 +263,59 @@ def test_dist_stdout_grid_is_pinned(tmp_path, capsys):
             path.write_text(json.dumps({"points": points}))
             files.append(str(path))
         for order in (files, files[::-1]):
-            for p in ("1", "1.5", "2", "inf"):
+            for p in ps:
                 for q in ("1", "2", "3"):
                     for fmt in ("json", "csv"):
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            code = main(["dist", *order, "--p", p, "--q", q, "--format", fmt])
-                        digest.update(f"{capsys.readouterr().out}exit {code}\n".encode("utf-8"))
-    assert digest.hexdigest() == "5f0aee036290e096cbfbc039db4d17bb8686da4fccf8fd78a36ead9d2dc57209"
+                        code = main(["dist", *order, "--p", p, "--q", q, "--format", fmt])
+                        yield capsys.readouterr().out, code
+
+
+def test_dist_stdout_grid_is_pinned(tmp_path, capsys):
+    # finite p: a change to any value, witness or refusal changes the digest
+    digest = hashlib.sha256()
+    for out, code in _dist_grid(tmp_path, capsys, ("1", "1.5", "2")):
+        digest.update(f"{out}exit {code}\n".encode("utf-8"))
+    assert digest.hexdigest() == "57bdc93f60a9e5598e44af34279e0097d7d5c0e3cadb4161c8b0b1d08047e3f1"
+
+
+def test_dist_bottleneck_values_are_pinned(tmp_path, capsys):
+    # p = inf: the value and total lines and the exit codes alone, frozen from
+    # the Kuhn threshold search; the bottleneck value does not depend on the
+    # witness, so no change of witness may move this digest
+    digest = hashlib.sha256()
+    for out, code in _dist_grid(tmp_path, capsys, ("inf",)):
+        lines = [line for line in out.splitlines(keepends=True)
+                 if line.lstrip().startswith(('"value"', '"total"', "value,", "total,"))]
+        digest.update(f"{''.join(lines)}exit {code}\n".encode("utf-8"))
+    assert digest.hexdigest() == "5059a5a39fff324f4375e97794752dc767ed87b1279b8960ec706fbadd16e630"
+
+
+def test_dist_bottleneck_stdout_is_pinned(tmp_path, capsys):
+    # p = inf: the whole output, witnesses included
+    digest = hashlib.sha256()
+    for out, code in _dist_grid(tmp_path, capsys, ("inf",)):
+        digest.update(f"{out}exit {code}\n".encode("utf-8"))
+    assert digest.hexdigest() == "90b5058b2fa2f43f828c21d0c6a556ffce7d3142abee7a62363aaf921848bcba"
+
+
+def test_bottleneck_near_the_float_range_is_quiet(tmp_path, capsys):
+    # twelve points a side spread over most of the float range: the search
+    # brackets d* with a minimum-sum solve of the ground scaled by its largest
+    # finite entry, so none of that solve's sums overflows
+    paths = []
+    for side, shift in (("x", (0.0, 6e307)), ("y", (5e306, 6.5e307))):
+        points = [[k * 1e307 + shift[0], k * 1e307 + shift[1]] for k in range(-8, 4)]
+        paths.append(tmp_path / f"{side}.json")
+        paths[-1].write_text(json.dumps({"points": points}))
+    for q, value in (("1", 1.0000000000000009e+307), ("2", 7.071067811865481e+306),
+                     ("3", 6.299605249474372e+306)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dist", *map(str, paths), "--p", "inf", "--q", q])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["value"] == payload["total"] == value
 
 
 def test_run_suite_rejects_an_unknown_name():

@@ -11,7 +11,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from pdg import (
-    AugmentedProblem,
     Coupling,
     Diagram,
     Matching,
@@ -38,7 +37,7 @@ from pdg import (
 )
 from pdg.cli import main
 from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_pair, single_tall_point
-from pdg.matching import _copy_rule, _perfect_matching_under, _reduced_partners, _solved
+from pdg.matching import _copy_rule, _reduced_partners, _solved
 
 # augmented ground matrix for the four point configuration at q = 1: rows are
 # the two off-diagonal points of X then one diagonal copy per point of Y,
@@ -234,20 +233,22 @@ def test_reduced_solve_matches_the_square_solve():
 
 
 # distance(x, y, MetricParams(inf, q)) on random_sized_pair(default_rng(67), 20, 20):
-# value (as float.hex) and witness assignment, frozen from the solver that
-# binary-searched every distinct entry with a cold Kuhn pass per probe
+# value (as float.hex) and witness assignment.  The values were frozen from
+# a solver that binary-searched every distinct entry with a cold Kuhn pass per
+# probe; the assignments are the least scaled ground sum under the value, its
+# diagonal copies placed by _copy_rule
 BOTTLENECK_WITNESS_20 = {
     1.0: ("0x1.2520fae72b76ap+1", (
-        4, 13, 39, 1, 38, 37, 0, 16, 36, 35, 8, 11, 34, 19, 33, 2, 18, 10, 9, 32,
-        31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 12, 3, 15, 7, 6, 14, 5, 17,
+        1, 13, 14, 5, 24, 10, 18, 16, 28, 19, 8, 11, 32, 15, 3, 2, 0, 4, 9, 39,
+        36, 20, 35, 34, 37, 23, 6, 7, 30, 38, 25, 31, 12, 21, 22, 33, 27, 17, 26, 29,
     )),
     2.0: ("0x1.d2fcc7803d737p+0", (
-        1, 13, 39, 16, 38, 37, 4, 36, 35, 34, 8, 11, 33, 19, 32, 2, 18, 10, 9, 31,
-        30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 0, 3, 15, 7, 12, 5, 17, 6, 14,
+        10, 8, 22, 16, 24, 4, 18, 5, 28, 19, 13, 11, 32, 15, 3, 2, 0, 1, 9, 39,
+        36, 37, 35, 34, 25, 27, 6, 7, 21, 38, 20, 31, 12, 30, 14, 33, 23, 17, 26, 29,
     )),
     math.inf: ("0x1.75df832a8311cp+0", (
-        39, 11, 38, 37, 36, 35, 18, 34, 33, 32, 31, 8, 30, 29, 28, 2, 1, 10, 13, 27,
-        26, 25, 24, 23, 22, 21, 20, 12, 3, 15, 7, 0, 19, 4, 6, 14, 5, 16, 17, 9,
+        10, 11, 22, 0, 24, 14, 18, 5, 28, 19, 16, 8, 32, 15, 3, 2, 4, 1, 13, 39,
+        23, 37, 35, 34, 36, 27, 6, 7, 31, 9, 20, 21, 12, 38, 25, 33, 30, 17, 26, 29,
     )),
 }
 
@@ -270,80 +271,18 @@ def test_bottleneck_value_is_the_smallest_feasible_entry():
             prob = build_augmented_problem(x, y, params)
             assert value in prob.ground
             assert matching_cost(x, y, witness, params) == value
+            assert_canonical_copies(witness.assignment, nx, ny)
             # no perfect matching uses only entries below the value
             below = maximum_bipartite_matching(csr_matrix(prob.ground < value), perm_type="column")
             assert (below < 0).any()
 
 
-def test_bottleneck_survives_one_long_augmenting_chain():
-    # Row i < n - 1 may take column i or i + 1, the last row only column 0.
-    # Rows in order take their own column until the last row, whose one
-    # augmenting path shifts every other row over by one column.
-    n = 1600
-    ground = np.full((n, n), 2.0)
-    rows = np.arange(n - 1)
-    ground[rows, rows] = 0.0
-    ground[rows, rows + 1] = 0.0
-    ground[n - 1, 0] = 0.0
-    params = MetricParams(math.inf, 2.0)
-    witness = solve_assignment_bottleneck(AugmentedProblem(Diagram(), Diagram(), params, ground, ground, 1.0))
-    assert witness.total == 0.0
-    assert witness.assignment == tuple(range(1, n)) + (0,)
-
-
-def reference_perfect_matching_under(ground, tau, start=None):
-    """Kuhn's search on column lists: a visited set per root, rows in order,
-    each row's columns ascending, a recursive augmenting path."""
-    n = ground.shape[0]
-    adj = [np.flatnonzero(row <= tau).tolist() for row in ground]
-    row_of = [-1] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                if row_of[j] < 0 or augment(row_of[j], seen):
-                    row_of[j] = i
-                    return True
-        return False
-
-    free = range(n)
-    if start is not None:
-        free = []
-        for i, j in enumerate(start.tolist()):
-            if ground[i, j] <= tau:
-                row_of[j] = i
-            else:
-                free.append(i)
-    for i in free:
-        if not augment(i, set()):
-            return None
-    assignment = [-1] * n
-    for j, i in enumerate(row_of):
-        assignment[i] = j
-    return tuple(assignment)
-
-
-def test_threshold_search_matches_the_column_list_reference():
-    rng = np.random.default_rng(89)
-    outcomes = {True: 0, False: 0}
-    for _ in range(400):
-        n = int(rng.integers(1, 41))
-        # few distinct integer entries, so that thresholds fall on many ties
-        high = int(rng.integers(2, 7))
-        ground = rng.integers(0, high, size=(n, n)).astype(float)
-        tau = float(rng.integers(0, high - 1))
-        for start in (None, rng.permutation(n), linear_sum_assignment(ground)[1]):
-            expected = reference_perfect_matching_under(ground, tau, start)
-            assert _perfect_matching_under(ground, tau, start) == expected
-            outcomes[expected is not None] += 1
-    assert outcomes[True] > 600 and outcomes[False] > 100
-
-
 def test_bottleneck_prices_out_overflowed_ground_entries():
     # near the top of double range a coordinate difference overflows to inf,
     # and its l^q norm is +inf at q = 1.5 and 3 too, never NaN: an infinite
-    # entry is never an edge, and scipy's minimum-sum assignment accepts it
+    # entry is never an edge, and scipy's minimum-sum assignment accepts it.
+    # The coincident x_2 = y_0 pair with each other in the witness, the least
+    # scaled ground sum under the value.
     x = Diagram.from_pairs([(-9.5e307, -9.4e307), (9.6e307, 9.9e307), (9.5e307, 9.8e307)])
     y = Diagram.from_pairs([(9.5e307, 9.8e307), (9.8e307, 1e308)])
     for q, value_hex in ((1.5, "0x1.b205c6136097cp+1017"), (3.0, "0x1.587be2c753d0cp+1017")):
@@ -354,7 +293,7 @@ def test_bottleneck_prices_out_overflowed_ground_entries():
             ground = build_augmented_problem(x, y, params).ground
         assert not np.isnan(ground).any() and np.isinf(ground).any()
         assert value.hex() == value_hex
-        assert witness.assignment == (4, 3, 2, 1, 0)
+        assert witness.assignment == (2, 3, 0, 4, 1)
         assert matching_cost(x, y, witness, params) == value
     # 14 x 15 points: the lower bound fails, so the search takes its upper
     # bound from the reduced minimum-sum solve, over the infinite entries
@@ -592,6 +531,29 @@ def test_exhaustive_oracles_match_independent_scans():
             if prob.n:
                 plan = random_doubly_stochastic(rng, prob.n)
                 assert transport_cost(prob, plan, p) == reference_transport_cost(prob, plan.matrix, p)
+
+
+def test_bottleneck_witness_is_the_least_ground_sum_under_the_value():
+    # the p = inf witness against every slot permutation: its largest ground
+    # is the exhaustive bottleneck, and its ground sum the least of those
+    # permutations that stay within it; integer coordinates give exact ties
+    rng = np.random.default_rng(103)
+    pairs = []
+    for n in range(10):
+        for nx in sorted({int(rng.integers(0, n + 1)), n // 2}):
+            pairs += [random_sized_pair(rng, nx, n - nx), integer_pair(rng, nx, n - nx)]
+    for x, y in pairs:
+        nx, ny = len(x), len(y)
+        for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+            params = MetricParams(math.inf, q)
+            value, witness = distance(x, y, params)
+            assert value == max(witness.grounds, default=0.0) == reference_brute_force(x, y, params)
+            assert_canonical_copies(witness.assignment, nx, ny)
+            if nx + ny:
+                ground = build_augmented_problem(x, y, params).ground
+                selected = ground[np.arange(nx + ny), reference_permutations(nx + ny)]
+                least = selected.sum(axis=1)[selected.max(axis=1) <= value].min()
+                assert abs(math.fsum(witness.grounds) - least) <= 1e-12 * least
 
 
 def test_overflowing_coordinates_stay_quiet():
