@@ -31,17 +31,10 @@ from .matching import Matching, distance
 from .verification import SUITES, run_suite
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _read_diagram(path: str):
-    return parse_diagram(_read_text(path))
-
-
-def _read_curve(path: str):
-    return parse_curve(_read_text(path))
+def _read(path: str, parse):
+    """parse applied to the bytes of the file at path."""
+    with open(path, "rb") as handle:
+        return parse(handle.read())
 
 
 def _params(args: argparse.Namespace) -> MetricParams:
@@ -49,13 +42,14 @@ def _params(args: argparse.Namespace) -> MetricParams:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text, ending in a newline, to the file out or else to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _as_json(payload: dict) -> str:
@@ -94,64 +88,50 @@ def _pair_costs(witness: Matching, p: float) -> list[float]:
     return costs
 
 
-def _run_dist(args: argparse.Namespace) -> int:
-    x = _read_diagram(args.x)
-    y = _read_diagram(args.y)
+def _run_dist(args: argparse.Namespace) -> dict:
+    x = _read(args.x, parse_diagram)
+    y = _read(args.y, parse_diagram)
     params = _params(args)
     value, witness = distance(x, y, params)
-    payload = {
+    return {
         **_pq_json(params),
         "value": value,
         "assignment": list(witness.assignment),
         "pair_costs": _pair_costs(witness, params.p),
         "total": witness.total,
     }
-    _emit(_flat_csv(payload) if args.format == "csv" else _as_json(payload), args.out)
-    return 0
 
 
-def _run_geodesic(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise PdgError("curve output has no csv form; use --format json")
-    x = _read_diagram(args.x)
-    y = _read_diagram(args.y)
+def _run_geodesic(args: argparse.Namespace) -> dict:
+    x = _read(args.x, parse_diagram)
+    y = _read(args.y, parse_diagram)
     params = _params(args)
     value, witness = distance(x, y, params)
     curve = sample_convex_combination(x, y, witness, args.grid)
-    payload = {
+    return {
         **_pq_json(params),
         "grid": args.grid,
         "value": value,
         "assignment": list(witness.assignment),
         "curve": curve.to_dict(),
     }
-    _emit(_as_json(payload), args.out)
-    return 0
 
 
-def _run_certify(args: argparse.Namespace) -> int:
-    curve = _read_curve(args.curve)
+def _run_certify(args: argparse.Namespace) -> dict:
+    curve = _read(args.curve, parse_curve)
     params = _params(args)
-    cert = certify_geodesic(curve, params)
-    payload = {**_pq_json(params), **cert.to_dict()}
-    _emit(_flat_csv(payload) if args.format == "csv" else _as_json(payload), args.out)
-    return 0
+    return {**_pq_json(params), **certify_geodesic(curve, params).to_dict()}
 
 
-def _run_classify(args: argparse.Namespace) -> int:
-    curve = _read_curve(args.curve)
+def _run_classify(args: argparse.Namespace) -> dict:
+    curve = _read(args.curve, parse_curve)
     params = _params(args)
-    outcome = classify_curve(curve, params)
-    payload = {**_pq_json(params), **outcome.to_dict()}
-    _emit(_flat_csv(payload) if args.format == "csv" else _as_json(payload), args.out)
-    return 0
+    return {**_pq_json(params), **classify_curve(curve, params).to_dict()}
 
 
-def _run_gallery(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise PdgError("curve output has no csv form; use --format json")
+def _run_gallery(args: argparse.Namespace) -> dict:
     curve = sample_gallery(args.name, args.grid, k=args.k, j=args.j, l=args.l, r=args.r)
-    payload = {
+    return {
         "name": args.name,
         "grid": args.grid,
         "k": args.k,
@@ -160,8 +140,6 @@ def _run_gallery(args: argparse.Namespace) -> int:
         "r": args.r,
         "curve": curve.to_dict(),
     }
-    _emit(_as_json(payload), args.out)
-    return 0
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -276,11 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Commands whose output holds a curve, which has no flat csv form.
+_CURVE_COMMANDS = ("geodesic", "gallery")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":  # renders its own table and exits 1 on a failed check
+            return args.func(args)
+        if args.format == "csv" and args.command in _CURVE_COMMANDS:
+            raise PdgError("curve output has no csv form; use --format json")
+        payload = args.func(args)
+        _emit(_flat_csv(payload) if args.format == "csv" else _as_json(payload), args.out)
+        return 0
     except SizeGuardError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -282,15 +282,26 @@ def diagonal_distance(point: Point, q: float) -> float:
     return value if math.isfinite(value) else c * point.death - c * point.birth
 
 
-def parse_diagram(data) -> Diagram:
-    """Decode a diagram from JSON text of the form {"points": [[b, d(, i)], ...]}."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _load_json(data):
+    """Decode a JSON document from text or UTF-8 bytes, raising ParseError
+    for every way it can fail to decode."""
     try:
-        obj = json.loads(data)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return diagram_from_dict(obj)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"document is not UTF-8: {exc}") from exc
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ParseError("document is nested too deeply to decode") from None
+
+
+def parse_diagram(data) -> Diagram:
+    """Decode a diagram from JSON text or UTF-8 bytes of the form
+    {"points": [[b, d(, i)], ...]}."""
+    return diagram_from_dict(_load_json(data))
 
 
 _NUMBER_TYPES = frozenset((int, float))

@@ -11,13 +11,15 @@ equality, so indices and zero-length diagonal excursions cannot matter.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, MetricParams, _midpoint, _qnorm, diagram_from_dict, diagram_to_dict
+from .diagram import (
+    _NUMBER_TYPES, Diagram, MetricParams, _load_json, _midpoint, _qnorm,
+    diagram_from_dict, diagram_to_dict,
+)
 from .errors import (
     ParameterDomainError,
     ParseError,
@@ -90,19 +92,17 @@ class SampledCurve:
 
 
 def parse_curve(data) -> SampledCurve:
-    """Decode {"times": [...], "frames": [<diagram>, ...]} JSON."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    """Decode {"times": [...], "frames": [<diagram>, ...]} JSON text or UTF-8 bytes."""
+    obj = _load_json(data)
     if not isinstance(obj, dict) or "times" not in obj or "frames" not in obj:
         raise ParseError('curve JSON must be an object with "times" and "frames"')
     times = obj["times"]
     frames = obj["frames"]
     if not isinstance(times, list) or not isinstance(frames, list):
         raise ParseError('"times" and "frames" must be lists')
+    for pos, t in enumerate(times):
+        if type(t) not in _NUMBER_TYPES:  # as for diagram rows: no bool, no string
+            raise ParseError(f'"times" entry {pos} is not a number: {t!r}')
     decoded = []
     for pos, frame in enumerate(frames):
         try:

@@ -21,16 +21,13 @@ and the diagonal, min(n_x, n_y) x (n_x + n_y) entries, so the zero block of
 copy pairs never reaches the solver.  The reduction subtracts diagonal
 costs from pair costs, so where the two diagrams nearly coincide it rounds
 the close partners' costs together; its result is then refused and the
-square matrix solved instead.  Timed against the square solve on four
-random pairs per cell (births in [-5, 5], persistences in [0.1, 4], best of
-3 on a shared 2-core Xeon), the reduced solve took 0.44-1.12x its time at
-100 points per side, but at 400 per side with q = 1 it took 1.29-3.06x in
-one series and 1.38-2.01x at p = 1.5 and 2 in another (0.56-0.85x at
-p = 1); with q = 2 it took 0.86-1.43x there.  Either way the square
-witness follows one canonical rule for the interchangeable diagonal copies:
-a point sent to the diagonal takes its own copy, and so does an unmatched
-point on the other side, and the copies of a real pair's two points pair
-with each other.
+square matrix solved instead.  The reduced solve is not the faster one at
+every size and (p, q) (README gives the timings): the subtracted diagonal
+costs make the tall points attractive to every row, which likely lengthens
+the solver's augmenting paths.  Either way the witness follows one canonical
+rule for the interchangeable diagonal copies: a point sent to the diagonal
+takes its own copy, and so does an unmatched point on the other side, and
+the copies of a real pair's two points pair with each other.
 
 For p = inf the solver minimizes the largest selected entry: the optimum is
 the smallest entry whose threshold graph has a perfect matching, so the

@@ -9,6 +9,7 @@ import pytest
 
 import pdg.verification as verification
 from pdg.cli import main
+from pdg.gallery import GALLERY_NAMES
 from pdg.verification import SUITES, Check, run_suite
 
 X_TEXT = '{"points": [[0, 10], [1, 9]]}'
@@ -108,6 +109,49 @@ def test_malformed_document_is_exit_2(tmp_path, capsys):
     good.write_text(X_TEXT)
     assert main(["dist", str(bad), str(good)]) == 2
     assert "row 0" in capsys.readouterr().err
+
+
+DEEP_POINTS = '{"points": %s}' % ("[" * 100_000 + "]" * 100_000)
+
+
+def test_nesting_too_deep_is_exit_2(tmp_path, diagram_files, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_POINTS)
+    for argv in (["dist", str(deep), diagram_files[1]], ["certify", str(deep)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document is nested too deeply to decode\n"
+
+
+GUARD_CURVE = json.dumps({  # 10 combined points, one more than the exhaustive guard allows
+    "times": [0.0, 1.0],
+    "frames": [{"points": [[float(i), i + 1.0] for i in range(5)]}] * 2,
+})
+
+
+@pytest.mark.parametrize("command, document, flags, code", [
+    ("dist", None, [], 2),
+    ("dist", b'{"points": [[0, 1]', [], 2),
+    ("dist", DEEP_POINTS.encode(), [], 2),
+    ("dist", b'{"points": [[0, 1]], "note": "\xff"}', [], 2),
+    ("dist", X_TEXT.encode(), ["--p", "0.5"], 2),
+    ("geodesic", X_TEXT.encode(), ["--format", "csv"], 2),
+    ("classify", GUARD_CURVE.encode(), [], 3),
+], ids=["missing-file", "bad-json", "deep-nesting", "not-utf8", "p-below-1", "csv-curve", "size-guard"])
+def test_error_contract(tmp_path, command, document, flags, code):
+    # every bad input exits with its documented code and one error line, no traceback
+    path = tmp_path / "input.json"
+    if document is not None:
+        path.write_bytes(document)
+    files = [str(path)] * (2 if command in ("dist", "geodesic") else 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdg", command, *files, *flags], capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("\n") and "Traceback" not in proc.stderr
 
 
 HUGE_INT = "1" + "0" * 400  # a JSON integer no float can hold
@@ -296,6 +340,47 @@ def test_dist_bottleneck_stdout_is_pinned(tmp_path, capsys):
     for out, code in _dist_grid(tmp_path, capsys, ("inf",)):
         digest.update(f"{out}exit {code}\n".encode("utf-8"))
     assert digest.hexdigest() == "90b5058b2fa2f43f828c21d0c6a556ffce7d3142abee7a62363aaf921848bcba"
+
+
+MID_TEXT = '{"points": [[0.5, 10.5], [1.5, 9.5]]}'
+CURVE_TEXTS = [
+    # the straight path from X to Y, and one that stalls at X until t = 1/2
+    '{"times": [0, 0.5, 1], "frames": [%s, %s, %s]}' % (X_TEXT, MID_TEXT, Y_TEXT),
+    '{"times": [0, 0.5, 1], "frames": [%s, %s, %s]}' % (X_TEXT, X_TEXT, Y_TEXT),
+]
+
+
+def _cli_grid(tmp_path, diagram_files):
+    """argv lists for geodesic, certify and classify over p, q in {1, 2, inf}
+    and both formats, every gallery curve, and a missing file."""
+    curves = []
+    for k, text in enumerate(CURVE_TEXTS):
+        curves.append(tmp_path / f"curve{k}.json")
+        curves[-1].write_text(text)
+    for p in ("1", "2", "inf"):
+        for q in ("1", "2", "inf"):
+            for fmt in ("json", "csv"):
+                flags = ["--p", p, "--q", q, "--format", fmt]
+                yield ["geodesic", *diagram_files, "--grid", "5", *flags]
+                for curve in curves:
+                    yield ["certify", str(curve), *flags]
+                    yield ["classify", str(curve), *flags]
+    for name in GALLERY_NAMES:
+        for fmt in ("json", "csv"):
+            yield ["gallery", name, "--grid", "5", "--format", fmt]
+    yield ["dist", "/nonexistent/x.json", diagram_files[1]]
+    yield ["certify", "/nonexistent/curve.json"]
+
+
+def test_cli_grid_output_is_pinned(tmp_path, diagram_files, capsys):
+    # stdout, stderr and exit code of every command but dist and verify,
+    # whose outputs have their own digests
+    digest = hashlib.sha256()
+    for argv in _cli_grid(tmp_path, diagram_files):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(f"{argv[0]}\n{out}stderr {err}exit {code}\n".encode("utf-8"))
+    assert digest.hexdigest() == "100cd2277d069d04ed5345bf6d1890fc23152a6b0391c0365d73895389a28357"
 
 
 def test_bottleneck_near_the_float_range_is_quiet(tmp_path, capsys):

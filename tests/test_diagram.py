@@ -148,6 +148,22 @@ def test_parse_error_names_the_offending_row():
         parse_diagram('{"points": [[0, 1], [0, 1, Infinity]]}')
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # far beyond the decoder's recursion limit
+
+
+@pytest.mark.parametrize("data", ['{"points": %s}' % DEEP, ('{"points": %s}' % DEEP).encode()],
+                         ids=["text", "bytes"])
+def test_parse_refuses_nesting_too_deep_to_decode(data):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_diagram(data)
+
+
+def test_parse_refuses_bytes_that_are_not_utf8():
+    for data in (b"\xff", b'{"points": [[0, 1]], "note": "\xe9"}'):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_diagram(data)
+
+
 def test_round_trip_simple():
     text = '{"points": [[0, 1], [2.5, 7]]}'
     d = parse_diagram(text)

@@ -215,6 +215,31 @@ def test_parse_curve_rejections():
         parse_curve('{"times": [0.0, NaN, 1.0], "frames": [{"points": []}, {"points": []}, {"points": []}]}')
 
 
+def test_parse_curve_refuses_undecodable_documents():
+    deep = "[" * 100_000 + "]" * 100_000  # far beyond the decoder's recursion limit
+    for data in ('{"times": %s}' % deep, deep.encode()):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_curve(data)
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_curve(b'{"times": [0, 1], "frames": [], "note": "\xff"}')
+
+
+@pytest.mark.parametrize("times, entry", [
+    ("[false, true]", "entry 0 is not a number: False"),
+    ('[0, "0.5", 1]', "entry 1 is not a number: '0.5'"),
+    ("[0, null, 1]", "entry 1 is not a number: None"),
+], ids=["bools", "string", "null"])
+def test_parse_curve_times_are_json_numbers(times, entry):
+    frames = ", ".join(['{"points": []}'] * len(json.loads(times)))
+    with pytest.raises(ParseError, match=entry):
+        parse_curve('{"times": %s, "frames": [%s]}' % (times, frames))
+
+
+def test_parse_curve_time_beyond_the_float_range_is_invalid():
+    with pytest.raises(ValidationError, match="sample times must be real numbers"):
+        parse_curve('{"times": [0, %d, 1], "frames": [%s]}' % (10**400, ", ".join(['{"points": []}'] * 3)))
+
+
 def test_certificate_serialization():
     curve = sample_gallery("omega_infty", 9, k=10.0, j=3.0)
     cert = certify_geodesic(curve, MetricParams(2.0, 2.0))
