@@ -37,8 +37,8 @@ def _read(path: str, parse):
         return parse(handle.read())
 
 
-def _params(args: argparse.Namespace) -> MetricParams:
-    return MetricParams(parse_extended(args.p), parse_extended(args.q), args.tol)
+def _params(args: argparse.Namespace, tol: float = DEFAULT_TOL) -> MetricParams:
+    return MetricParams(parse_extended(args.p), parse_extended(args.q), tol)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,13 +119,13 @@ def _run_geodesic(args: argparse.Namespace) -> dict:
 
 def _run_certify(args: argparse.Namespace) -> dict:
     curve = _read(args.curve, parse_curve)
-    params = _params(args)
+    params = _params(args, args.tol)
     return {**_pq_json(params), **certify_geodesic(curve, params).to_dict()}
 
 
 def _run_classify(args: argparse.Namespace) -> dict:
     curve = _read(args.curve, parse_curve)
-    params = _params(args)
+    params = _params(args, args.tol)
     return {**_pq_json(params), **classify_curve(curve, params).to_dict()}
 
 
@@ -143,10 +143,7 @@ def _run_gallery(args: argparse.Namespace) -> dict:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    checks = run_suite(
-        args.suite, args.seed, trials=args.trials, draws=args.draws,
-        grid=args.grid, tol=args.tol,
-    )
+    checks = run_suite(args.suite, args.seed, trials=args.trials, draws=args.draws, grid=args.grid)
     failures = [c for c in checks if not c.passed]
     if args.format == "csv":
         buffer = io.StringIO()
@@ -188,7 +185,6 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", default="2", help="outer exponent in [1, inf], 'inf' allowed")
     parser.add_argument("--q", default="2", help="ground norm exponent in [1, inf], 'inf' allowed")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -218,17 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(geo)
     geo.set_defaults(func=_run_geodesic)
 
-    cert = sub.add_parser("certify", help="check a sampled curve for constant-speed geodesy")
-    cert.add_argument("curve")
-    _add_metric_flags(cert)
-    _add_output_flags(cert)
-    cert.set_defaults(func=_run_certify)
-
-    cls = sub.add_parser("classify", help="classify a sampled curve against endpoint matchings")
-    cls.add_argument("curve")
-    _add_metric_flags(cls)
-    _add_output_flags(cls)
-    cls.set_defaults(func=_run_classify)
+    for name, func, text in (
+        ("certify", _run_certify, "check a sampled curve for constant-speed geodesy"),
+        ("classify", _run_classify, "classify a sampled curve against endpoint matchings"),
+    ):
+        judge = sub.add_parser(name, help=text)
+        judge.add_argument("curve")
+        _add_metric_flags(judge)
+        # the only results that read the tolerance
+        judge.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+        _add_output_flags(judge)
+        judge.set_defaults(func=func)
 
     gal = sub.add_parser("gallery", help="emit a named example curve")
     gal.add_argument("name", choices=GALLERY_NAMES)
@@ -247,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--draws", type=int, default=1000, help="random draws per inequality")
     ver.add_argument("--grid", type=int, default=DEFAULT_GRID,
                      help="gallery samples per curve, odd and at least 3 so t = 1/2 is sampled")
-    ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_flags(ver)
     ver.set_defaults(func=_run_verify)
 

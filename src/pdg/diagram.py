@@ -226,10 +226,6 @@ class MetricParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "tol", tol)
 
-    @property
-    def bottleneck(self) -> bool:
-        return self.p == math.inf
-
 
 def _qnorm(dx: float, dy: float, q: float) -> float:
     # Scalar l^q norm of a 2-vector, stable for large q.

@@ -24,7 +24,7 @@ class StructuralError(PdgError, ValueError):
 
 
 class SizeGuardError(PdgError):
-    """An exhaustive-enumeration path was asked to exceed its size bound."""
+    """An exhaustive enumeration or a time grid was asked to exceed its size bound."""
 
 
 class WrongSolverError(PdgError):

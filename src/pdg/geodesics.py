@@ -23,6 +23,7 @@ from .diagram import (
 from .errors import (
     ParameterDomainError,
     ParseError,
+    SizeGuardError,
     StructuralError,
     UnsupportedRegimeError,
     ValidationError,
@@ -36,12 +37,16 @@ from .matching import (
 )
 
 DEFAULT_GRID = 33
+#: The most samples a time grid may hold; odd, so verify's odd-grid rule reaches it.
+MAX_GRID = 2**16 + 1
 
 
 def uniform_grid(count: int = DEFAULT_GRID) -> tuple[float, ...]:
     """count evenly spaced times from 0 to 1 inclusive."""
     if count < 2:
         raise ParameterDomainError(f"a time grid needs at least 2 samples, got {count}")
+    if count > MAX_GRID:
+        raise SizeGuardError(f"a time grid of {count} samples exceeds the bound of {MAX_GRID}")
     return tuple(i / (count - 1) for i in range(count))
 
 

@@ -133,9 +133,8 @@ def jensen_partition_slack(amounts, times, p: float) -> float:
     return rhs - lhs
 
 
-def largest_empirical_defect_constant(t: float, p: float, rng: np.random.Generator,
-                                      draws: int = 500) -> float:
-    """Largest C that keeps the p >= 2 defect slack nonnegative on draws pairs in [-1, 1]^8.
+def largest_empirical_defect_constant(t: float, p: float, rng: np.random.Generator) -> float:
+    """Largest C that keeps the p >= 2 defect slack nonnegative on 200 pairs in [-1, 1]^8.
 
     Reported for inspection only; nothing here claims the value is sharp.
     """
@@ -143,7 +142,7 @@ def largest_empirical_defect_constant(t: float, p: float, rng: np.random.Generat
         raise ParameterDomainError(f"p must lie in [2, inf), got {p}")
     t = _check_interior_t(t)
     best = math.inf
-    for _ in range(draws):
+    for _ in range(200):
         a = rng.uniform(-1.0, 1.0, size=8)
         b = rng.uniform(-1.0, 1.0, size=8)
         denom = t * (1.0 - t) * _powsum(a - b, p)

@@ -28,10 +28,10 @@ def random_pair(rng: np.random.Generator, max_total: int = 6) -> tuple[Diagram, 
     return random_diagram(rng, first), random_diagram(rng, second)
 
 
-def four_point_pair(k: float = 10.0) -> tuple[Diagram, Diagram]:
+def four_point_pair() -> tuple[Diagram, Diagram]:
     """The two-points-each configuration with matching cost 4 under p = q = 1."""
-    x = Diagram((Point(0.0, k, 0), Point(1.0, k - 1.0, 1)))
-    y = Diagram((Point(1.0, k + 1.0, 0), Point(2.0, k, 1)))
+    x = Diagram((Point(0.0, 10.0, 0), Point(1.0, 9.0, 1)))
+    y = Diagram((Point(1.0, 11.0, 0), Point(2.0, 10.0, 1)))
     return x, y
 
 

@@ -14,26 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, MetricParams
+from .diagram import DEFAULT_TOL, Diagram, MetricParams
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
 from .matching import AugmentedProblem, Matching, _aggregate, _exhaust, _solved, distance
 
 MARGINAL_TOL = 1e-12
+#: random_doubly_stochastic's marginal target, inside MARGINAL_TOL, and its sweep budget
+FIT_TARGET = 5e-13
+FIT_SWEEPS = 10000
 
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """A transport plan between augmented slots with uniform marginals."""
+    """A transport plan between augmented slots with unit marginals."""
 
     matrix: np.ndarray
-    mass: float = 1.0
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidCouplingError(f"coupling matrix must be square, got shape {matrix.shape}")
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise InvalidCouplingError(f"mass must be a positive real, got {self.mass}")
         # a failed >= 0 test, so that NaN, which fails every comparison, is caught
         # too; an infinite entry fails the marginal check below
         if matrix.size and not float(matrix.min()) >= 0.0:
@@ -42,14 +42,13 @@ class Coupling:
         cols = matrix.sum(axis=0)
         for label, sums in (("row", rows), ("column", cols)):
             if sums.size:
-                worst = float(np.max(np.abs(sums - self.mass)))
+                worst = float(np.max(np.abs(sums - 1.0)))
                 if worst > MARGINAL_TOL:
                     raise InvalidCouplingError(
-                        f"{label} sums deviate from mass {self.mass} by {worst:.3e} "
+                        f"{label} sums deviate from 1 by {worst:.3e} "
                         f"(tolerance {MARGINAL_TOL:.0e})"
                     )
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "mass", float(self.mass))
 
     @property
     def n(self) -> int:
@@ -61,11 +60,11 @@ def coupling_from_matching(m: Matching) -> Coupling:
     n = len(m.assignment)
     matrix = np.zeros((n, n), dtype=float)
     matrix[np.arange(n), m.assignment] = 1.0
-    return Coupling(matrix, 1.0)
+    return Coupling(matrix)
 
 
-def transport_cost(prob: AugmentedProblem, coupling: Coupling, p: float) -> float:
-    """(sum_ij ground_ij^p * gamma_ij)^(1/p) for the Euclidean ground metric.
+def transport_cost(prob: AugmentedProblem, coupling: Coupling) -> float:
+    """(sum_ij ground_ij^p * gamma_ij)^(1/p) at the problem's own p, Euclidean ground.
 
     The matching total's l^p sum (_aggregate) over the support of the plan,
     each term weighted by its plan entry, so a permutation plan reproduces
@@ -76,8 +75,9 @@ def transport_cost(prob: AugmentedProblem, coupling: Coupling, p: float) -> floa
         raise ParameterDomainError(
             f"transport costs are defined for q = 2 only, got q = {prob.params.q:g}"
         )
-    if not (1.0 <= p < math.inf):
-        raise ParameterDomainError(f"transport exponent p must lie in [1, inf), got {p}")
+    p = prob.params.p
+    if p == math.inf:
+        raise ParameterDomainError("transport costs are defined for finite p only, got p = inf")
     if coupling.n != prob.n:
         raise StructuralError(
             f"coupling has {coupling.n} slots but the problem defines {prob.n}"
@@ -95,23 +95,22 @@ class OtReport:
     agree: bool
 
 
-def verify_ot_equivalence(x: Diagram, y: Diagram, p: float, tol: float = 1e-9) -> OtReport:
+def verify_ot_equivalence(x: Diagram, y: Diagram, p: float) -> OtReport:
     """Compare the assignment optimum with the infimum over permutation plans.
 
     Extreme points of the doubly stochastic polytope are permutations and the
     plan cost is monotone under convex combination at the p-th power level, so
     the exhaustive permutation minimum is the true infimum over all plans.
     """
-    params = MetricParams(p, 2.0, tol)
+    params = MetricParams(p, 2.0)
     prob, perms, objective = _exhaust(x, y, params, "verify_ot_equivalence")
     assignment_value, _ = distance(x, y, params)
     best = _solved(prob, perms[int(np.argmin(objective))])
-    coupling_min = transport_cost(prob, coupling_from_matching(best), p)
-    return OtReport(assignment_value, coupling_min, abs(assignment_value - coupling_min) <= tol)
+    coupling_min = transport_cost(prob, coupling_from_matching(best))
+    return OtReport(assignment_value, coupling_min, abs(assignment_value - coupling_min) <= DEFAULT_TOL)
 
 
-def random_doubly_stochastic(rng: np.random.Generator, n: int,
-                             target: float = 5e-13, max_iter: int = 10000) -> Coupling:
+def random_doubly_stochastic(rng: np.random.Generator, n: int) -> Coupling:
     """A random interior plan via iterative proportional fitting.
 
     Alternating row and column normalization of a strictly positive random
@@ -121,16 +120,16 @@ def random_doubly_stochastic(rng: np.random.Generator, n: int,
     if n <= 0:
         raise ParameterDomainError(f"plan size must be positive, got {n}")
     matrix = rng.uniform(0.05, 1.0, size=(n, n))
-    for _ in range(max_iter):
+    for _ in range(FIT_SWEEPS):
         matrix /= matrix.sum(axis=1, keepdims=True)
         matrix /= matrix.sum(axis=0, keepdims=True)
         worst = max(
             float(np.max(np.abs(matrix.sum(axis=1) - 1.0))),
             float(np.max(np.abs(matrix.sum(axis=0) - 1.0))),
         )
-        if worst <= target:
-            return Coupling(matrix.copy(), 1.0)
+        if worst <= FIT_TARGET:
+            return Coupling(matrix.copy())
     raise InvalidCouplingError(
-        f"iterative fitting failed to reach marginal deviation {target:.0e} "
-        f"within {max_iter} sweeps"
+        f"iterative fitting failed to reach marginal deviation {FIT_TARGET:.0e} "
+        f"within {FIT_SWEEPS} sweeps"
     )

@@ -13,14 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inequalities as ineq
-from .diagram import Diagram, MetricParams, Point
+from .diagram import DEFAULT_TOL, Diagram, MetricParams, Point
 from .errors import ParameterDomainError
 from .geodesics import (
+    DEFAULT_GRID,
     certify_geodesic,
     classify_curve,
     detect_branching,
     sample_convex_combination,
     sample_gallery,
+    uniform_grid,
 )
 from .instances import (
     GRID_P,
@@ -69,17 +71,17 @@ def _pq_label(p: float, q: float) -> str:
 # metric suite
 
 
-def metric_checks(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[Check]:
+def metric_checks(seed: int = 0, trials: int = 50) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
 
     x, y = four_point_pair()
-    value, _ = distance(x, y, MetricParams(1.0, 1.0, tol))
+    value, _ = distance(x, y, MetricParams(1.0, 1.0))
     checks.append(_check("metric.four_point", "p=1,q=1", value, 4.0, abs(value - 4.0) <= 1e-12))
 
     for k in (1.0, 4.0, 10.0):
         for q in GRID_Q:
-            value, _ = distance(single_tall_point(k), Diagram(), MetricParams(math.inf, q, tol))
+            value, _ = distance(single_tall_point(k), Diagram(), MetricParams(math.inf, q))
             expected = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0) * k
             checks.append(_check(
                 "metric.single_point_bottleneck", f"k={k:g},q={q:g}",
@@ -89,19 +91,19 @@ def metric_checks(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[Ch
     worst = 0.0
     for p in GRID_P:
         for q in GRID_Q:
-            value, _ = distance(*index_twins(), MetricParams(p, q, tol))
+            value, _ = distance(*index_twins(), MetricParams(p, q))
             worst = max(worst, abs(value))
     checks.append(_check("metric.index_twins_zero", "full grid", worst, 0.0, worst <= 1e-12))
 
     for p in GRID_P:
         for q in GRID_Q:
-            params = MetricParams(p, q, tol)
+            params = MetricParams(p, q)
             gap = 0.0
             for _ in range(trials):
                 a, b = random_pair(rng, max_total=6)
                 value, _ = distance(a, b, params)
                 gap = max(gap, abs(value - brute_force_distance(a, b, params)))
-            checks.append(_check("metric.oracle_agreement", _pq_label(p, q), gap, 0.0, gap <= tol))
+            checks.append(_check("metric.oracle_agreement", _pq_label(p, q), gap, 0.0, gap <= DEFAULT_TOL))
 
     axiom_grid = [(1.0, 1.0), (1.5, 2.0), (2.0, 2.0), (3.0, 1.0), (math.inf, 2.0), (math.inf, math.inf)]
     sym_gap = 0.0
@@ -110,7 +112,7 @@ def metric_checks(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[Ch
     blind_gap = 0.0
     witness_gap = 0.0
     for p, q in axiom_grid:
-        params = MetricParams(p, q, tol)
+        params = MetricParams(p, q)
         for _ in range(max(4, trials // 8)):
             a, b = random_pair(rng, max_total=6)
             c, _ = random_pair(rng, max_total=3)
@@ -139,7 +141,7 @@ def metric_checks(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[Ch
     shift_gap = 0.0
     for _ in range(max(4, trials // 4)):
         a, b = random_pair(rng, max_total=6)
-        params = MetricParams(2.0, 2.0, tol)
+        params = MetricParams(2.0, 2.0)
         base, _ = distance(a, b, params)
         c = float(rng.uniform(0.2, 3.0))
         scaled, _ = distance(a.scaled(c), b.scaled(c), params)
@@ -155,12 +157,12 @@ def metric_checks(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[Ch
     for _ in range(max(4, trials // 4)):
         a, b = random_pair(rng, max_total=6)
         for q in GRID_Q:
-            bottleneck, _ = distance(a, b, MetricParams(math.inf, q, tol))
+            bottleneck, _ = distance(a, b, MetricParams(math.inf, q))
             for p in GRID_P[:-1]:
-                finite, _ = distance(a, b, MetricParams(p, q, tol))
+                finite, _ = distance(a, b, MetricParams(p, q))
                 p_mono = max(p_mono, bottleneck - finite)
         for p in GRID_P:
-            values = [distance(a, b, MetricParams(p, q, tol))[0] for q in GRID_Q]
+            values = [distance(a, b, MetricParams(p, q))[0] for q in GRID_Q]
             for lo, hi in zip(values, values[1:]):
                 q_mono = max(q_mono, hi - lo)
     checks.append(_check("metric.p_monotonicity", "bottleneck <= finite", p_mono, "<= 1e-12", p_mono <= 1e-12))
@@ -173,7 +175,7 @@ def metric_checks(seed: int = 0, trials: int = 50, tol: float = 1e-9) -> list[Ch
 # transport suite
 
 
-def ot_checks(seed: int = 0, trials: int = 60) -> list[Check]:
+def ot_checks(seed: int, trials: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
 
@@ -202,15 +204,15 @@ def ot_checks(seed: int = 0, trials: int = 60) -> list[Check]:
         prob = build_augmented_problem(a, b, params)
         if prob.n == 0:
             continue
-        perm_cost = transport_cost(prob, coupling_from_matching(witness), p)
+        perm_cost = transport_cost(prob, coupling_from_matching(witness))
         perm_gap = max(perm_gap, abs(perm_cost - value))
         plan = random_doubly_stochastic(rng, prob.n)
-        birkhoff = min(birkhoff, transport_cost(prob, plan, p) - value)
+        birkhoff = min(birkhoff, transport_cost(prob, plan) - value)
         other = random_doubly_stochastic(rng, prob.n)
         alpha = float(rng.uniform(0.0, 1.0))
-        blend = Coupling(alpha * plan.matrix + (1.0 - alpha) * other.matrix, 1.0)
-        lhs = transport_cost(prob, blend, p) ** p
-        rhs = alpha * transport_cost(prob, plan, p) ** p + (1.0 - alpha) * transport_cost(prob, other, p) ** p
+        blend = Coupling(alpha * plan.matrix + (1.0 - alpha) * other.matrix)
+        lhs = transport_cost(prob, blend) ** p
+        rhs = alpha * transport_cost(prob, plan) ** p + (1.0 - alpha) * transport_cost(prob, other) ** p
         affine_gap = max(affine_gap, abs(lhs - rhs) / (1.0 + abs(rhs)))
     checks.append(_check("ot.permutation_cost_exact", "random witnesses", perm_gap, 0.0, perm_gap == 0.0))
     checks.append(_check("ot.birkhoff_lower_bound", "random plans", birkhoff, ">= -1e-9", birkhoff >= -1e-9))
@@ -218,8 +220,8 @@ def ot_checks(seed: int = 0, trials: int = 60) -> list[Check]:
 
     twin = Diagram((Point(0.0, 2.0, 0), Point(1.0, 4.0, 1)))
     prob = build_augmented_problem(twin, twin, MetricParams(2.0, 2.0))
-    uniform = Coupling(np.full((prob.n, prob.n), 1.0 / prob.n), 1.0)
-    spread = transport_cost(prob, uniform, 2.0)
+    uniform = Coupling(np.full((prob.n, prob.n), 1.0 / prob.n))
+    spread = transport_cost(prob, uniform)
     checks.append(_check("ot.uniform_plan_positive", "identical diagrams", spread, "> 0", spread > 0.0))
 
     return checks
@@ -325,7 +327,7 @@ def inequality_checks(seed: int = 0, draws: int = 1000) -> list[Check]:
             "ineq.jensen.proportional", f"p={p:g}", eq, 0.0, abs(eq) <= 1e-12))
 
     for t, p in ((0.25, 2.0), (0.25, 3.0), (0.75, 2.5)):
-        constant = ineq.largest_empirical_defect_constant(t, p, rng, draws=200)
+        constant = ineq.largest_empirical_defect_constant(t, p, rng)
         checks.append(_check(
             "ineq.defect_p.empirical_constant", f"t={t:g},p={p:g}",
             constant, f"report only (base case 2^(2-p) = {2.0 ** (2.0 - p):g})", True))
@@ -337,7 +339,7 @@ def inequality_checks(seed: int = 0, draws: int = 1000) -> list[Check]:
 # gallery suite
 
 
-def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Check]:
+def gallery_checks(grid: int = DEFAULT_GRID, seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     step = 1.0 / (grid - 1)
@@ -349,12 +351,12 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
     }
     for name, curve in curves.items():
         for q in GRID_Q:
-            cert = certify_geodesic(curve, MetricParams(math.inf, q, tol))
+            cert = certify_geodesic(curve, MetricParams(math.inf, q))
             checks.append(_check(
                 "gallery.certify", f"{name},p=inf,q={q:g}",
                 cert.max_violation, "<= 1e-9", cert.ok and cert.max_violation <= 1e-9))
 
-    one = MetricParams(1.0, 1.0, tol)
+    one = MetricParams(1.0, 1.0)
     mu1 = sample_gallery("mu_one", grid, k=10.0)
     cert = certify_geodesic(mu1, one)
     checks.append(_check(
@@ -367,7 +369,7 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
             "gallery.certify", f"nu_r_one,r={r:g},p=1,q=1",
             cert.max_violation, "<= 1e-9", cert.ok and cert.max_violation <= 1e-9))
 
-    infty2 = MetricParams(math.inf, 2.0, tol)
+    infty2 = MetricParams(math.inf, 2.0)
     split = detect_branching(curves["mu_infty"].reversed(), curves["nu_infty"].reversed(), infty2)
     measured = "none" if split is None else 1.0 - split
     ok = split is not None and abs((1.0 - split) - 1.0 / 3.0) <= step + 1e-12
@@ -387,7 +389,7 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
         "none" if split is None else split, "3/4 within one step", ok))
 
     for q in GRID_Q:
-        outcome = classify_curve(curves["omega_infty"], MetricParams(math.inf, q, tol))
+        outcome = classify_curve(curves["omega_infty"], MetricParams(math.inf, q))
         checks.append(_check(
             "gallery.classify.omega_deviant", f"p=inf,q={q:g}",
             outcome.kind, "deviant", outcome.kind == "deviant" and outcome.residual > 1e-3))
@@ -405,12 +407,12 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
         ("omega", curves["omega_infty"], math.sqrt(17.0), 10.0 / (2.0 * math.sqrt(2.0))),
         ("mu_one", mu1, math.sqrt(2.0), 1.0),
     ):
-        cert = certify_geodesic(curve, MetricParams(2.0, 2.0, tol))
+        cert = certify_geodesic(curve, MetricParams(2.0, 2.0))
         witness_ok = False
         if not cert.ok and cert.witness is not None:
             s, t, measured_value, expected_speed = cert.witness
             half = curve.frames[curve.times.index(0.5)]
-            confirmed = brute_force_distance(curve.frames[0], half, MetricParams(2.0, 2.0, tol))
+            confirmed = brute_force_distance(curve.frames[0], half, MetricParams(2.0, 2.0))
             witness_ok = (
                 (s, t) == (0.0, 0.5)
                 and abs(measured_value - expected_measured) <= 1e-6
@@ -423,9 +425,9 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
             "fails with expected witness", witness_ok))
 
     a, b = random_pair(rng, max_total=5)
-    _, witness = distance(a, b, MetricParams(2.0, 2.0, tol))
+    _, witness = distance(a, b, MetricParams(2.0, 2.0))
     curve = sample_convex_combination(a, b, witness, 17)
-    outcome = classify_curve(curve, MetricParams(2.0, 2.0, tol))
+    outcome = classify_curve(curve, MetricParams(2.0, 2.0))
     checks.append(_check(
         "gallery.classify.convex_roundtrip", "p=2,q=2,random",
         outcome.kind, "convex-combination", outcome.kind == "convex-combination"))
@@ -434,25 +436,27 @@ def gallery_checks(grid: int = 33, tol: float = 1e-9, seed: int = 0) -> list[Che
 
 
 def run_suite(name: str, seed: int = 0, *, trials: int = 50, draws: int = 1000,
-              grid: int = 33, tol: float = 1e-9) -> list[Check]:
+              grid: int = DEFAULT_GRID) -> list[Check]:
     # a suite run with no trials or draws would pass its checks vacuously
     for flag, value in (("trials", trials), ("draws", draws)):
         if value < 1:
             raise ParameterDomainError(f"{flag} must be at least 1, got {value}")
-    # the gallery's p = 2 contrast reads the frame at t = 1/2
-    if name in ("gallery", "all") and (grid < 3 or grid % 2 == 0):
-        raise ParameterDomainError(f"--grid must be odd and at least 3, got {grid}")
+    if name in ("gallery", "all"):
+        # the gallery's p = 2 contrast reads the frame at t = 1/2
+        if grid < 3 or grid % 2 == 0:
+            raise ParameterDomainError(f"--grid must be odd and at least 3, got {grid}")
+        uniform_grid(grid)  # refuses a grid above its bound before "all" runs its other suites
     if name == "metric":
-        return metric_checks(seed, trials=trials, tol=tol)
+        return metric_checks(seed, trials=trials)
     if name == "ot":
         return ot_checks(seed, trials=max(12, trials))
     if name == "inequalities":
         return inequality_checks(seed, draws=draws)
     if name == "gallery":
-        return gallery_checks(grid=grid, tol=tol, seed=seed)
+        return gallery_checks(grid=grid, seed=seed)
     if name == "all":
         out: list[Check] = []
         for part in ("metric", "ot", "inequalities", "gallery"):
-            out.extend(run_suite(part, seed, trials=trials, draws=draws, grid=grid, tol=tol))
+            out.extend(run_suite(part, seed, trials=trials, draws=draws, grid=grid))
         return out
     raise ValueError(f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}")

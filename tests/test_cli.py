@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,7 @@ import pytest
 import pdg.verification as verification
 from pdg.cli import main
 from pdg.gallery import GALLERY_NAMES
+from pdg.geodesics import MAX_GRID, sample_gallery
 from pdg.verification import SUITES, Check, run_suite
 
 X_TEXT = '{"points": [[0, 10], [1, 9]]}'
@@ -264,7 +266,7 @@ def test_every_suite_passes_at_the_benchmark_sizes():
             assert failed == [], (name, seed)
 
 
-def test_size_guard_is_exit_3(tmp_path, capsys):
+def test_size_guard_is_exit_3(tmp_path, capsys, diagram_files):
     frame = {"points": [[float(i), float(i) + 1.0] for i in range(5)]}
     curve = {"times": [0.0, 1.0], "frames": [frame, frame]}
     path = tmp_path / "big.json"
@@ -272,6 +274,42 @@ def test_size_guard_is_exit_3(tmp_path, capsys):
     code = main(["classify", str(path), "--p", "2", "--q", "2"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+    # a grid above the bound is refused before any frame is built, and verify
+    # refuses an odd one before its first suite runs
+    for command, grid in ((["geodesic", *diagram_files], MAX_GRID + 1),
+                          (["gallery", "mu_one"], MAX_GRID + 1),
+                          (["verify", "all"], MAX_GRID + 2)):
+        assert main([*command, "--grid", str(grid)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a time grid of {grid} samples exceeds the bound of {MAX_GRID}\n"
+
+
+def test_tol_reaches_certify_and_classify_only(tmp_path, capsys, diagram_files):
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps(sample_gallery("omega_infty", 33, k=10.0, j=3.0).to_dict()))
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(sample_gallery("mu_one", 33, k=10.0).to_dict()))
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    outcome = run("classify", str(omega), "--p", "inf", "--q", "2")
+    assert outcome["kind"] == "deviant"
+    assert outcome["residual"] == pytest.approx(3.0 / math.sqrt(2.0))
+    assert run("classify", str(omega), "--p", "inf", "--q", "2", "--tol", "10")["kind"] == "convex-combination"
+    cert = run("certify", str(mu), "--p", "2", "--q", "2")
+    assert not cert["ok"]
+    assert cert["max_violation"] == pytest.approx(math.sqrt(2.0) - 1.0)
+    assert cert["endpoint_distance"] == pytest.approx(2.0)
+    assert run("certify", str(mu), "--p", "2", "--q", "2", "--tol", "1")["ok"]
+    # no other command reads a tolerance, so none accepts one
+    for argv in (["dist", *diagram_files], ["geodesic", *diagram_files], ["verify", "metric"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e300"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_verify_all_seed_0_stdout_is_pinned(capsys):

@@ -115,7 +115,7 @@ def test_parse_extended():
 def test_metric_params_domain():
     MetricParams(1.0, 1.0)
     MetricParams(64.0, math.inf)
-    assert MetricParams(math.inf, 2.0).bottleneck
+    assert MetricParams(math.inf, 2.0).p == math.inf
     with pytest.raises(ParameterDomainError):
         MetricParams(0.5, 2.0)
     with pytest.raises(ParameterDomainError):

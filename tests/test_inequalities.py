@@ -168,8 +168,8 @@ def test_jensen_nonnegative_property(data, count, p):
 
 def test_empirical_defect_constant_reports_p2_sharpness():
     rng = np.random.default_rng(8)
-    constant = largest_empirical_defect_constant(0.25, 2.0, rng, draws=200)
+    constant = largest_empirical_defect_constant(0.25, 2.0, rng)
     # the p = 2 ratio is identically one
     assert constant == pytest.approx(1.0, abs=1e-9)
-    constant = largest_empirical_defect_constant(0.25, 3.0, rng, draws=200)
+    constant = largest_empirical_defect_constant(0.25, 3.0, rng)
     assert constant > 0.0

@@ -530,7 +530,7 @@ def test_exhaustive_oracles_match_independent_scans():
             prob = build_augmented_problem(x, y, MetricParams(p, 2.0))
             if prob.n:
                 plan = random_doubly_stochastic(rng, prob.n)
-                assert transport_cost(prob, plan, p) == reference_transport_cost(prob, plan.matrix, p)
+                assert transport_cost(prob, plan) == reference_transport_cost(prob, plan.matrix, p)
 
 
 def test_bottleneck_witness_is_the_least_ground_sum_under_the_value():
@@ -630,7 +630,7 @@ def test_a_total_beyond_the_float_range_is_refused_at_every_finite_p():
             lambda: distance(x, Diagram(), params)[0],
             lambda: distance(Diagram(), x, params)[0],
             lambda: matching_cost(x, Diagram(), identity, params),
-            lambda: transport_cost(prob, Coupling(np.eye(4)), p),
+            lambda: transport_cost(prob, Coupling(np.eye(4))),
         )
         if p == 3.0:
             values = {total() for total in totals}
