@@ -44,9 +44,10 @@ def _check_tall_low(k: float, low: float, low_name: str) -> tuple[float, float]:
     low = float(low)
     if not (low > 0.0):
         raise ParameterDomainError(f"requires {low_name} > 0, got {low_name} = {low:g}")
-    if not (3.0 * low < k):
+    # an infinite k would put the tall point's birth 0.5 k t at inf * 0 = NaN at t = 0
+    if not (3.0 * low < k < math.inf):
         raise ParameterDomainError(
-            f"requires k > 3{low_name} (got k = {k:g}, {low_name} = {low:g})"
+            f"requires a finite k > 3{low_name} (got k = {k:g}, {low_name} = {low:g})"
         )
     return k, low
 
@@ -90,9 +91,9 @@ def omega_infty(k: float, j: float, t: float) -> Diagram:
 
 def _check_mu_one_k(k: float) -> float:
     k = float(k)
-    if not k >= 8.0:
+    if not 8.0 <= k < math.inf:
         raise ParameterDomainError(
-            f"requires k >= 8 so diagonal shortcuts never compete (got k = {k:g})"
+            f"requires a finite k >= 8 so diagonal shortcuts never compete (got k = {k:g})"
         )
     return k
 
@@ -114,15 +115,13 @@ def nu_r_one(k: float, r: float, t: float) -> Diagram:
         raise ParameterDomainError(f"requires r in [0, 1], got r = {r:g}")
     t = _check_time(t)
     if t <= 0.5:
-        pts = [(2.0 * t, k, 0), (1.0, k - 1.0 + 2.0 * t, 1)]
+        return mu_one(k, t)
+    arc = 2.0 * (t - 0.5)
+    if arc <= r:
+        spot = (1.0, k + arc)
     else:
-        arc = 2.0 * (t - 0.5)
-        if arc <= r:
-            spot = (1.0, k + arc)
-        else:
-            spot = (1.0 + (arc - r), k + r)
-        pts = [(spot[0], spot[1], 0), (spot[0], spot[1], 1)]
-    return _alive(pts)
+        spot = (1.0 + (arc - r), k + r)
+    return _alive([(*spot, 0), (*spot, 1)])
 
 
 def gallery_frame(name: str, t: float, *, k: float = 10.0, j: float = 3.0,

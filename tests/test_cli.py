@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pdg.cli
 import pdg.verification as verification
 from pdg.cli import main
 from pdg.gallery import GALLERY_NAMES
@@ -102,6 +104,10 @@ def test_bad_parameter_is_exit_2(diagram_files, capsys):
     capsys.readouterr()
     assert main(["dist", x, y, "--p", "100"]) == 2
     capsys.readouterr()
+    assert main(["gallery", "mu_infty", "--k", "inf", "--grid", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: requires a finite k > 3j (got k = inf, j = 3)\n"
 
 
 def test_malformed_document_is_exit_2(tmp_path, capsys):
@@ -266,6 +272,25 @@ def test_every_suite_passes_at_the_benchmark_sizes():
             assert failed == [], (name, seed)
 
 
+def test_the_benchmark_tracer_sees_every_verify_layer(monkeypatch, capsys):
+    # perfbench's tracer wraps functions by patching module attributes, so a
+    # function held in a container built at import escapes it and its layer
+    # reads 0; only parsing, which verify never does, may stay idle
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import tracer
+
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for suite in SUITES[:-1]:
+            argv = ["verify", suite, "--trials", "2", "--draws", "10", "--grid", "5"]
+            assert spans.run_op(lambda: pdg.cli.main(argv), suite) == 0
+    finally:
+        spans.uninstall()
+    capsys.readouterr()
+    assert tracer.layer_metrics(spans.spans)[1]["idle_layers"] == ["diagram.parse"]
+
+
 def test_size_guard_is_exit_3(tmp_path, capsys, diagram_files):
     frame = {"points": [[float(i), float(i) + 1.0] for i in range(5)]}
     curve = {"times": [0.0, 1.0], "frames": [frame, frame]}
@@ -313,11 +338,15 @@ def test_tol_reaches_certify_and_classify_only(tmp_path, capsys, diagram_files):
 
 
 def test_verify_all_seed_0_stdout_is_pinned(capsys):
-    # every suite at its default size; a change to any check's row, value or
-    # order changes the digest
-    assert main(["verify", "all", "--seed", "0"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "67070cf2c6f4084b1bb8fb03924f33fee236fb8318f81cc8793a3a49308602f0"
+    # every suite at its default size, in both formats; a change to any
+    # check's row, value or order changes the digests
+    for fmt, pinned in (
+        ("json", "ef123d0b37c03a369b45ade67fe68354d4b042cc3114d7d2018615a849403c43"),
+        ("csv", "cc9c31423678666c7e45cff5aef446a607afe693817fe4d7a7447849e673cf16"),
+    ):
+        assert main(["verify", "all", "--seed", "0", "--format", fmt]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == pinned, fmt
 
 
 def _points(n, salt):

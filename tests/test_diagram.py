@@ -216,6 +216,14 @@ def test_scaled_and_shifted():
     d = Diagram.from_pairs([(1.0, 3.0)])
     assert d.scaled(2.0).points[0].geometry() == (2.0, 6.0)
     assert d.shifted(1.5).points[0].geometry() == (2.5, 4.5)
+    for bad, message in (
+        (lambda: d.scaled(0.0), r"^point \(0\.0, 0\.0\) is not strictly above the diagonal$"),
+        (lambda: d.scaled(-1.0), r"^point \(-1\.0, -3\.0\) is not strictly above the diagonal$"),
+        (lambda: d.shifted(math.inf), r"^point \(inf, inf\) has non-finite coordinates$"),
+        (lambda: d.scaled(math.nan), r"^point \(nan, nan\) has non-finite coordinates$"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            bad()
 
 
 def test_multiset_key_ignores_order_and_indices():

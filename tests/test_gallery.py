@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pdg import (
@@ -77,6 +79,9 @@ def test_constraint_errors():
         mu_one(10.0, 1.5)
     with pytest.raises(ParameterDomainError):
         gallery_frame("no_such_curve", 0.5)
+    for name in GALLERY_NAMES:
+        with pytest.raises(ParameterDomainError, match=r"^requires a finite k .*\(got k = inf\b"):
+            gallery_frame(name, 0.0, k=math.inf)
 
 
 def test_gallery_frame_dispatch():
