@@ -8,9 +8,14 @@ paired with a diagonal copy costs its perpendicular distance to the diagonal,
 and two diagonal copies pair for free.  A point whose distance to the
 diagonal exceeds the float range is refused, and a real pair whose norm
 overflows costs +inf at every p and q.  The matrix is built by numpy
-broadcasts over the two point arrays, each entry bitwise equal to the scalar
-norm, and a solver reads its witness's grounds back from the matrix it
-solved; matching_cost reprices a given matching from the diagrams alone.
+broadcasts over the two point arrays, each distinct entry once and each
+bitwise equal to the scalar norm: at q = 2 the real pairs go through
+math.hypot in an object array, or from HYPOT_PORT_FROM pairs on through
+_hypot_port, a numpy port of CPython's math.hypot that falls back to it on
+zero, infinite and subnormal lanes.  At finite p, from BLOCKWISE_POWER_FROM
+pairs on, the p-th power is taken over the distinct costs only.  A solver
+reads its witness's grounds back from the matrix it solved; matching_cost
+reprices a given matching from the diagrams alone.
 Both total the grounds by one l^p sum, _aggregate, which refuses a finite
 total beyond the float range at every finite p.
 
@@ -37,9 +42,10 @@ refuses as infeasible where no perfect matching is left.  The search is
 bracketed between the largest row or column minimum and the largest entry of
 a minimum-sum assignment of the scaled ground (solved as for finite p),
 tries the lower bound first, and binary-searches the distinct entries in
-between.  The witness is, among the assignments whose entries all lie within
-the optimum, one of least ground sum (scaled by the largest finite ground),
-its diagonal copies placed by the finite-p rule.
+between, each feasible probe lowering the top to its own largest entry.
+The witness is, among the assignments whose entries all lie within the
+optimum, one of least ground sum (scaled by the largest finite ground), its
+diagonal copies placed by the finite-p rule.
 """
 
 from __future__ import annotations
@@ -115,9 +121,93 @@ class AugmentedProblem:
 #: on purpose: it differs from math.hypot in the last bit on some entries,
 #: and a ground entry must equal the scalar norm bitwise, so that a witness
 #: reprices to its value exactly and a bottleneck value is found among the
-#: entries of an independently built matrix.
+#: entries of an independently built matrix.  From HYPOT_PORT_FROM entries
+#: on, q = 2 runs through _hypot_port instead, which gives the same bits.
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 _qnorm_ufunc = np.frompyfunc(_qnorm, 3, 1)
+
+#: q = 2 grounds go through _hypot_port from this many entries, and through
+#: the object array _hypot below it.  The port's fixed cost is some 60 numpy
+#: calls (0.05-0.07 ms); the object array costs 0.14-0.22 us an entry.  On
+#: random diagrams (births in [-5, 5], persistences in [0.1, 4]), over three
+#: interleaved sweeps, the port took 1.05-1.18x the object array's time at
+#: 400 entries, 0.86-1.02x at 484, 0.83-0.98x at 576 and 0.36-0.47x at 2500;
+#: certify_geodesic on frames of 20-22 points (mostly 462-484 entries) built
+#: 1.04x slower through the port.
+HYPOT_PORT_FROM = 500
+
+#: At finite p, from this many real entries on, the cost is raised to the
+#: p-th power block by block, on the nx * ny + nx + ny distinct entries
+#: rather than the whole (nx + ny)^2 square.  Assembling the cost from its
+#: blocks takes some ten more numpy calls (about 4 us): at p = 1.5 it cost
+#: 9.6 against 5.8 us at 3 points per side, broke even at 15 and saved 56 us
+#: at 50.  At p = 1 and 2, where numpy's power is a copy or a square, it
+#: saved nothing even at 50 points per side.
+BLOCKWISE_POWER_FROM = 400
+
+#: Veltkamp's splitting constant for doubles, 2^27 + 1.
+_SPLITTER = 134217729.0
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into hi + lo, each half as many bits wide, so
+    that hi * hi, 2 * hi * lo and lo * lo are exact."""
+    t = x * _SPLITTER
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _fast_two_sum(csum, x):
+    """csum + x and its rounding error, exact where |csum| >= |x|."""
+    total = csum + x
+    return total, (csum - total) + x
+
+
+def _hypot_port(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """math.hypot(ax, ay) elementwise, bitwise, for arrays of non-negative
+    coordinates: a port of the two-argument vector_norm of CPython 3.11
+    (Modules/mathmodule.c), the Python this package is tested on.  Each step
+    is one correctly rounded IEEE operation on whole arrays, in the order the
+    C code takes them, so the result does not depend on which SIMD kernel
+    numpy dispatches.
+
+    The larger coordinate is scaled into [0.5, 1) by a power of two.  Each
+    coordinate's square is split exactly into hi^2, 2 hi lo and lo^2; the
+    first two are added to 1.0 by Fast2Sum, their rounding errors summed in
+    frac1 and frac2, and lo^2 is summed in frac3.  The square root of the sum
+    less 1.0 is corrected once, by the residual left after its own square is
+    subtracted the same way.  A lane whose larger coordinate is 0, inf, NaN
+    or subnormal (where vector_norm takes another path) yields NaN or a frexp
+    exponent below -1021, and is recomputed by math.hypot.  A CPython whose
+    math.hypot differs fails the bitwise differential test in
+    tests/test_matching.py."""
+    with np.errstate(all="ignore"):
+        # ldexp by -e and by e round as the C code's product with, and
+        # quotient by, scale = 2^-e do: both are one correctly rounded step
+        e = np.frexp(np.maximum(ax, ay))[1]
+        hi, lo = _split(np.ldexp(np.stack((ax, ay)), -e))
+        csum = 1.0
+        frac1 = frac2 = 0.0
+        for square, cross in zip(hi * hi, 2.0 * hi * lo):
+            csum, err = _fast_two_sum(csum, square)
+            frac1 = frac1 + err
+            csum, err = _fast_two_sum(csum, cross)
+            frac2 = frac2 + err
+        frac3 = lo[0] * lo[0] + lo[1] * lo[1]
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2 + frac3))
+        hi, lo = _split(h)
+        csum, err = _fast_two_sum(csum, -hi * hi)
+        frac1 += err
+        csum, err = _fast_two_sum(csum, -2.0 * hi * lo)
+        frac2 += err
+        csum, err = _fast_two_sum(csum, -lo * lo)
+        frac3 += err
+        h += (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)
+        out = np.ldexp(h, e)
+        special = np.isnan(out) | (e < -1021)
+        if special.any():
+            out[special] = _hypot(ax[special], ay[special])
+    return out
 
 
 def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
@@ -134,6 +224,8 @@ def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     if q == math.inf:
         return np.maximum(ax, ay)
     if q == 2.0:
+        if ax.size >= HYPOT_PORT_FROM:
+            return _hypot_port(ax, ay)
         return _hypot(ax, ay).astype(float)
     return _qnorm_ufunc(ax, ay, q).astype(float)
 
@@ -167,22 +259,40 @@ def _finite_scale(ground: np.ndarray) -> float:
     return scale or 1.0
 
 
+def _augmented(real: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The square augmented matrix of an nx x ny real block and the nx + ny
+    diagonal entries of the points of X then Y: x_i's down row i of the
+    diagonal-copy columns, y_j's along column j of the diagonal-copy rows,
+    and 0 where two copies pair."""
+    nx, ny = real.shape
+    out = np.zeros((nx + ny, nx + ny))
+    out[:nx, :ny] = real
+    out[:nx, ny:] = diagonal[:nx, None]
+    out[nx:, :ny] = diagonal[nx:]
+    return out
+
+
 def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> AugmentedProblem:
-    nx = len(x)
-    ny = len(y)
-    n = nx + ny
+    """The augmented problem of x against y.  Each distinct ground (a real
+    pair's, or one point's diagonal distance) is computed once.  So is each
+    distinct cost, where p is neither 1 nor 2 and the real block has at least
+    BLOCKWISE_POWER_FROM entries; either way each cost entry is bitwise
+    (ground / scale)^p."""
     q = params.q
     xs = x.geometry()
     ys = y.geometry()
-    ground = np.zeros((n, n), dtype=float)
     with np.errstate(over="ignore"):
-        ground[:nx, :ny] = _real_grounds(xs[:, None], ys[None, :], q)
-        ground[:nx, ny:] = _diagonal_grounds(xs, q)[:, None]
-        ground[nx:, :ny] = _diagonal_grounds(ys, q)
+        real = _real_grounds(xs[:, None], ys[None, :], q)
+        diagonal = _diagonal_grounds(np.concatenate((xs, ys)), q)
+    ground = _augmented(real, diagonal)
     if params.p == math.inf:
         return AugmentedProblem(x, y, params, ground, ground, 1.0)
     scale = _finite_scale(ground)
-    cost = (ground / scale) ** params.p
+    p = params.p
+    if p in (1.0, 2.0) or real.size < BLOCKWISE_POWER_FROM:
+        cost = (ground / scale) ** p
+    else:
+        cost = _augmented((real / scale) ** p, (diagonal / scale) ** p)
     return AugmentedProblem(x, y, params, ground, cost, scale)
 
 
@@ -367,10 +477,11 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     perfect matching, so the total is exactly a matrix entry.  The lower
     bound (the largest row or column minimum) is probed first; if it fails, a
     binary search probes the distinct entries above it up to the largest
-    entry of a minimum-sum assignment of the scaled ground.  The witness is
-    the least scaled ground sum under d*: the minimum-sum assignment where its
-    largest entry is d*, else one more probe at d*, priced.  Its diagonal
-    copies are placed by _copy_rule, as at finite p.
+    entry of a minimum-sum assignment of the scaled ground; a feasible probe
+    lowers the search's top to its own assignment's largest entry.  The
+    witness is the least scaled ground sum under d*: the minimum-sum
+    assignment where its largest entry is d*, else one more probe at d*,
+    priced.  Its diagonal copies are placed by _copy_rule, as at finite p.
     """
     if prob.params.p != math.inf:
         raise WrongSolverError("finite p requires solve_assignment_sum")
@@ -382,16 +493,20 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     lower = max(ground.min(axis=1).max(), ground.min(axis=0).max())
     cols = _cheapest_under(ground, priced, lower)
     if cols is None:
+        rows = np.arange(prob.n)
         cols = np.array(_min_sum_assignment(priced, nx, ny))
-        upper = ground[np.arange(prob.n), cols].max()
+        upper = ground[rows, cols].max()
         entries = np.unique(ground[(ground > lower) & (ground <= upper)])
         lo, hi = 0, len(entries) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if _cheapest_under(ground, 0.0, entries[mid]) is not None:
-                hi = mid
-            else:
+            found = _cheapest_under(ground, 0.0, entries[mid])
+            if found is None:
                 lo = mid + 1
+            else:
+                # the probe's own largest entry is feasible too; it exceeds
+                # lower, whose probe failed, so it is one of the entries
+                hi = int(entries.searchsorted(ground[rows, found].max()))
         if hi < len(entries) - 1:
             cols = _cheapest_under(ground, priced, entries[lo])
     return _solved(prob, _copy_rule(cols[:nx].tolist(), nx, ny))

@@ -37,7 +37,15 @@ from pdg import (
 )
 from pdg.cli import main
 from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_pair, single_tall_point
-from pdg.matching import _copy_rule, _reduced_partners, _solved
+from pdg.matching import (
+    BLOCKWISE_POWER_FROM,
+    HYPOT_PORT_FROM,
+    _copy_rule,
+    _hypot,
+    _hypot_port,
+    _reduced_partners,
+    _solved,
+)
 
 # augmented ground matrix for the four point configuration at q = 1: rows are
 # the two off-diagonal points of X then one diagonal copy per point of Y,
@@ -91,17 +99,80 @@ def scalar_ground(x, y, q):
     return ground
 
 
+#: Sizes on both sides of HYPOT_PORT_FROM real entries, where q = 2 grounds
+#: move from the object array of math.hypot to its numpy port, and of
+#: BLOCKWISE_POWER_FROM, where the cost's p-th power is taken block by block.
+ACROSS_THE_PORT = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (7, 3), (12, 9), (19, 21), (25, 25),
+                   (30, 28), (40, 35), (60, 57)]
+
+
+def sized_pairs(seed):
+    """A random pair at each of ACROSS_THE_PORT's sizes, then a far-apart pair
+    above the cut-over, whose +inf q = 2 grounds take the port's fallback."""
+    rng = np.random.default_rng(seed)
+    for cut in (HYPOT_PORT_FROM, BLOCKWISE_POWER_FROM):
+        assert min(nx * ny for nx, ny in ACROSS_THE_PORT) < cut <= 25 * 25
+    return [random_sized_pair(rng, nx, ny) for nx, ny in ACROSS_THE_PORT] + [far_apart_pair(rng, 30, 28)]
+
+
 def test_ground_matrix_equals_the_scalar_oracle_bitwise():
-    rng = np.random.default_rng(53)
-    sizes = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (7, 3), (12, 9)]
-    for nx, ny in sizes:
-        x, y = random_sized_pair(rng, nx, ny)
+    for x, y in sized_pairs(53):
         for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+            oracle = scalar_ground(x, y, q)
             for p in (2.0, math.inf):
-                prob = build_augmented_problem(x, y, MetricParams(p, q))
-                oracle = scalar_ground(x, y, q)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    prob = build_augmented_problem(x, y, MetricParams(p, q))
                 assert prob.ground.shape == oracle.shape
                 assert (prob.ground == oracle).all()
+
+
+def test_cost_matrix_is_the_scaled_ground_to_the_p_bitwise():
+    # the build raises only the distinct grounds to the p-th power; its cost
+    # must still be the whole square's (ground / scale) ** p, bit for bit,
+    # scale the largest finite ground (or 1.0 where that is 0)
+    for x, y in sized_pairs(61):
+        for q in (1.0, 1.5, 2.0, math.inf):
+            for p in (1.0, 1.5, 2.0, 3.0, 64.0):
+                prob = build_augmented_problem(x, y, MetricParams(p, q))
+                assert prob.scale == (prob.ground.max(where=prob.ground < math.inf, initial=0.0) or 1.0)
+                assert prob.cost.tobytes() == ((prob.ground / prob.scale) ** p).tobytes()
+
+
+def test_the_hypot_port_is_math_hypot_bitwise():
+    # 1.3 million pairs against math.hypot on this Python, none skipped: if a
+    # Python's math.hypot differs, the port has to follow it
+    rng = np.random.default_rng(67)
+    n = 2 ** 17
+    tiny, big = np.nextafter(0.0, 1.0), np.finfo(float).max
+    specials = np.array([0.0, -0.0, tiny, 2.0 ** -1022, 1e-310, 1.0, 1e308, -1e308, big, math.inf])
+    magnitudes = 10.0 ** rng.uniform(-323.5, 308.25, (2, n))
+    lattice = rng.integers(0, 100, (2, n)) * 0.1
+    steps = rng.integers(-30, 30, (4, n)) * 0.01
+    multiples = rng.integers(1, 200, n) * (rng.integers(1, 100, n) * 0.1)
+    with np.errstate(over="ignore"):
+        blocks = [
+            magnitudes,  # subnormal to near the float range, and either far larger
+            np.abs(rng.standard_normal((2, n))) * 10.0 ** rng.uniform(-320, 308, n),  # alike in size
+            lattice,
+            steps[:2] - steps[2:],  # differences of a 0.01 lattice
+            np.stack([lattice[0], lattice[0]]),  # exact ties
+            # (3, 4) times a decimal, whose exact norm is nearly halfway
+            # between two floats: a port that sums the same exact terms in
+            # another order rounds about 1% of these the other way
+            np.stack([3 * multiples, 4 * multiples]),
+            np.stack([magnitudes[0], np.nextafter(magnitudes[0], math.inf)]),  # near-ties
+            np.ldexp(rng.integers(0, 2 ** 30, (2, n)).astype(float), rng.integers(-1080, -1000, (2, n))),
+            rng.uniform(0.05, 1.79, (2, n)) * 1e308,  # a norm beyond the float range is inf
+            rng.choice(specials, (2, n)),
+        ]
+        a = np.abs(np.concatenate(blocks, axis=1))
+        a[:, :64] = -0.0
+        a[0, 64:128] = -0.0
+        assert a.shape[1] >= 10 ** 6
+        expected = _hypot(a[0], a[1]).astype(float)
+    mismatched = np.flatnonzero(_hypot_port(a[0], a[1]).view(np.int64) != expected.view(np.int64))
+    assert mismatched.size == 0, a[:, mismatched[:5]].T.tolist()
 
 
 def test_witness_reprices_bitwise_beyond_the_factorial_oracles():
