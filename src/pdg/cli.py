@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -56,13 +57,27 @@ def _as_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=True)
 
 
-def _flat_csv(payload: dict) -> str:
+def _csv(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in payload.items():
-        writer.writerow([key, json.dumps(value) if isinstance(value, (dict, list)) else value])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _flat_csv(payload: dict) -> str:
+    return _csv(["key", "value"], (
+        [key, json.dumps(value) if isinstance(value, (dict, list)) else value]
+        for key, value in payload.items()
+    ))
+
+
+def _check_table(payload: dict) -> str:
+    """A verify payload's checks, one csv row each."""
+    return _csv(["name", "params", "measured", "expected", "pass"], (
+        [c["name"], c["params"], c["measured"], c["expected"], "pass" if c["pass"] else "fail"]
+        for c in payload["checks"]
+    ))
 
 
 def _pq_json(params: MetricParams) -> dict:
@@ -88,11 +103,17 @@ def _pair_costs(witness: Matching, p: float) -> list[float]:
     return costs
 
 
-def _run_dist(args: argparse.Namespace) -> dict:
+def _solve(args: argparse.Namespace):
+    """The diagrams of the files x and y, the metric parameters, and the
+    distance between the diagrams with its witness."""
     x = _read(args.x, parse_diagram)
     y = _read(args.y, parse_diagram)
     params = _params(args)
-    value, witness = distance(x, y, params)
+    return (x, y, params, *distance(x, y, params))
+
+
+def _run_dist(args: argparse.Namespace) -> dict:
+    _, _, params, value, witness = _solve(args)
     return {
         **_pq_json(params),
         "value": value,
@@ -103,10 +124,7 @@ def _run_dist(args: argparse.Namespace) -> dict:
 
 
 def _run_geodesic(args: argparse.Namespace) -> dict:
-    x = _read(args.x, parse_diagram)
-    y = _read(args.y, parse_diagram)
-    params = _params(args)
-    value, witness = distance(x, y, params)
+    x, y, params, value, witness = _solve(args)
     curve = sample_convex_combination(x, y, witness, args.grid)
     return {
         **_pq_json(params),
@@ -117,16 +135,11 @@ def _run_geodesic(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_certify(args: argparse.Namespace) -> dict:
+def _run_judge(judge, args: argparse.Namespace) -> dict:
+    """judge (certify_geodesic or classify_curve) applied to the curve file."""
     curve = _read(args.curve, parse_curve)
     params = _params(args, args.tol)
-    return {**_pq_json(params), **certify_geodesic(curve, params).to_dict()}
-
-
-def _run_classify(args: argparse.Namespace) -> dict:
-    curve = _read(args.curve, parse_curve)
-    params = _params(args, args.tol)
-    return {**_pq_json(params), **classify_curve(curve, params).to_dict()}
+    return {**_pq_json(params), **judge(curve, params).to_dict()}
 
 
 def _run_gallery(args: argparse.Namespace) -> dict:
@@ -142,44 +155,23 @@ def _run_gallery(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace) -> dict:
     checks = run_suite(args.suite, args.seed, trials=args.trials, draws=args.draws, grid=args.grid)
-    failures = [c for c in checks if not c.passed]
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["name", "params", "measured", "expected", "pass"])
-        for check in checks:
-            writer.writerow([
-                check.name, check.params, check.measured, check.expected,
-                "pass" if check.passed else "fail",
-            ])
-        text = buffer.getvalue()
-    else:
-        text = _as_json({
-            "suite": args.suite,
-            "seed": args.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "params": c.params,
-                    "measured": c.measured,
-                    "expected": c.expected,
-                    "pass": c.passed,
-                }
-                for c in checks
-            ],
-            "failures": len(failures),
-        })
-    _emit(text, args.out)
-    if failures:
-        first = failures[0]
-        sys.stderr.write(
-            f"FAIL {first.name} [{first.params}]: measured {first.measured}, "
-            f"expected {first.expected}\n"
-        )
-        return 1
-    return 0
+    return {
+        "suite": args.suite,
+        "seed": args.seed,
+        "checks": [
+            {
+                "name": c.name,
+                "params": c.params,
+                "measured": c.measured,
+                "expected": c.expected,
+                "pass": c.passed,
+            }
+            for c in checks
+        ],
+        "failures": sum(not c.passed for c in checks),
+    }
 
 
 def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
@@ -187,9 +179,12 @@ def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", default="2", help="ground norm exponent in [1, inf], 'inf' allowed")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, func, to_csv=_flat_csv) -> None:
+    """The --format and --out flags, the command's runner func, and to_csv,
+    its payload's csv form, or None where it has none."""
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    parser.set_defaults(func=func, to_csv=to_csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,28 +198,26 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("x")
     dist.add_argument("y")
     _add_metric_flags(dist)
-    _add_output_flags(dist)
-    dist.set_defaults(func=_run_dist)
+    _add_output_flags(dist, _run_dist)
 
     geo = sub.add_parser("geodesic", help="sampled convex-combination path between two diagrams")
     geo.add_argument("x")
     geo.add_argument("y")
     _add_metric_flags(geo)
     geo.add_argument("--grid", type=int, default=DEFAULT_GRID, help="number of samples")
-    _add_output_flags(geo)
-    geo.set_defaults(func=_run_geodesic)
+    _add_output_flags(geo, _run_geodesic, to_csv=None)
 
+    # the judges are read here, not at import, so a patched module attribute is used
     for name, func, text in (
-        ("certify", _run_certify, "check a sampled curve for constant-speed geodesy"),
-        ("classify", _run_classify, "classify a sampled curve against endpoint matchings"),
+        ("certify", certify_geodesic, "check a sampled curve for constant-speed geodesy"),
+        ("classify", classify_curve, "classify a sampled curve against endpoint matchings"),
     ):
         judge = sub.add_parser(name, help=text)
         judge.add_argument("curve")
         _add_metric_flags(judge)
         # the only results that read the tolerance
         judge.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-        _add_output_flags(judge)
-        judge.set_defaults(func=func)
+        _add_output_flags(judge, functools.partial(_run_judge, func))
 
     gal = sub.add_parser("gallery", help="emit a named example curve")
     gal.add_argument("name", choices=GALLERY_NAMES)
@@ -233,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     gal.add_argument("--j", type=float, default=3.0, help="low point scale")
     gal.add_argument("--l", type=float, default=1.0, help="alternate low point scale")
     gal.add_argument("--r", type=float, default=0.5, help="ascent split in [0, 1]")
-    _add_output_flags(gal)
-    gal.set_defaults(func=_run_gallery)
+    _add_output_flags(gal, _run_gallery, to_csv=None)
 
     ver = sub.add_parser("verify", help="run a seeded verification suite")
     ver.add_argument("suite", choices=SUITES)
@@ -243,26 +235,26 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--draws", type=int, default=1000, help="random draws per inequality")
     ver.add_argument("--grid", type=int, default=DEFAULT_GRID,
                      help="gallery samples per curve, odd and at least 3 so t = 1/2 is sampled")
-    _add_output_flags(ver)
-    ver.set_defaults(func=_run_verify)
+    _add_output_flags(ver, _run_verify, to_csv=_check_table)
 
     return parser
-
-
-#: Commands whose output holds a curve, which has no flat csv form.
-_CURVE_COMMANDS = ("geodesic", "gallery")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":  # renders its own table and exits 1 on a failed check
-            return args.func(args)
-        if args.format == "csv" and args.command in _CURVE_COMMANDS:
+        if args.format == "csv" and args.to_csv is None:
             raise PdgError("curve output has no csv form; use --format json")
         payload = args.func(args)
-        _emit(_flat_csv(payload) if args.format == "csv" else _as_json(payload), args.out)
+        _emit(args.to_csv(payload) if args.format == "csv" else _as_json(payload), args.out)
+        if payload.get("failures"):  # verify's exit 1, after the whole payload is written
+            first = next(c for c in payload["checks"] if not c["pass"])
+            sys.stderr.write(
+                f"FAIL {first['name']} [{first['params']}]: measured {first['measured']}, "
+                f"expected {first['expected']}\n"
+            )
+            return 1
         return 0
     except SizeGuardError as exc:
         sys.stderr.write(f"error: {exc}\n")

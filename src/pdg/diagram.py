@@ -83,6 +83,9 @@ class Point:
 
     def __post_init__(self) -> None:
         birth, death = _check_point(self.birth, self.death)
+        # is_integer() is False for inf and nan, which int() cannot take
+        if isinstance(self.index, float) and not self.index.is_integer():
+            raise ValidationError(f"point index must be an integer, got {self.index!r}")
         object.__setattr__(self, "birth", birth)
         object.__setattr__(self, "death", death)
         object.__setattr__(self, "index", int(self.index))
@@ -139,12 +142,9 @@ class Diagram:
         pts = []
         for pos, row in enumerate(pairs):
             row = tuple(row)
-            if len(row) == 2:
-                pts.append(Point(row[0], row[1], pos))
-            elif len(row) == 3:
-                pts.append(Point(row[0], row[1], int(row[2])))
-            else:
+            if len(row) not in (2, 3):
                 raise ValidationError(f"row {pos} has {len(row)} entries, expected 2 or 3")
+            pts.append(Point(*row) if len(row) == 3 else Point(*row, pos))
         return cls(tuple(pts))
 
     @property
@@ -265,15 +265,21 @@ def diagonal_projection(point: Point) -> tuple[float, float]:
     return (mid, mid)
 
 
+def _diagonal_factor(q: float) -> float:
+    """c = 2^(1/q - 1), with 1/q read as 0 when q = inf: a point's l^q
+    distance to the diagonal is c times its persistence."""
+    return 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
+
+
 def diagonal_distance(point: Point, q: float) -> float:
     """Perpendicular l^q distance from a point to the diagonal.
 
-    Equals c * persistence with c = 2^(1/q - 1), where 1/q is read as 0 when
-    q = inf; where the persistence overflows, c * death - c * birth.
+    Equals c * persistence with c = _diagonal_factor(q); where the
+    persistence overflows, c * death - c * birth.
     """
     if math.isnan(q) or q < 1.0:
         raise ParameterDomainError(f"q must lie in [1, inf], got {q}")
-    c = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
+    c = _diagonal_factor(q)
     value = c * (point.death - point.birth)
     return value if math.isfinite(value) else c * point.death - c * point.birth
 
@@ -321,14 +327,6 @@ def _row_fault(pos: int, row) -> ParseError | None:
     return None
 
 
-def _fits_float(value) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
 def diagram_from_dict(obj) -> Diagram:
     """Build a diagram from decoded diagram JSON; inverts diagram_to_dict exactly.
 
@@ -354,22 +352,18 @@ def diagram_from_dict(obj) -> Diagram:
         explicit |= len(row) == 3
     pairs = [row[:2] for row in rows[:stop]] if explicit else rows[:stop]
     try:
-        coords = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs))
-    except OverflowError:
-        # an int too large for a float makes its row the first invalid one
-        stop = next(pos for pos, pair in enumerate(pairs) if not all(map(_fits_float, pair)))
-        fault = None
-        pairs = pairs[:stop]
-        coords = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs))
-    coords = coords.reshape(-1, 2)
-    bad = _first_invalid(coords)
-    if bad < len(rows):
-        if bad == stop and fault is not None:
-            raise fault
+        flat = itertools.chain.from_iterable(pairs)
+        coords = np.fromiter(flat, float, 2 * len(pairs)).reshape(-1, 2)
+        bad = _first_invalid(coords)
+    except OverflowError:  # an int too large for a float: walk from row 0 to the first bad row
+        bad = 0
+    for pos in range(bad, stop):  # raises at once where the bulk check found a bad row
         try:
-            _check_point(*rows[bad][:2])  # raises: the row failed the bulk check
+            _check_point(*pairs[pos])
         except ValidationError as exc:
-            raise ValidationError(f'"points" row {bad}: {exc}') from exc
+            raise ValidationError(f'"points" row {pos}: {exc}') from exc
+    if fault is not None:
+        raise fault
     if not explicit:
         return Diagram._trusted(coords, tuple(range(len(rows))))
     indices = tuple(int(row[2]) if len(row) == 3 else pos for pos, row in enumerate(rows))

@@ -12,7 +12,7 @@ equality, so indices and zero-length diagonal excursions cannot matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -353,12 +353,7 @@ class AuditReport:
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "positive_part": self.positive_part,
-            "defect": self.defect,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def identity_psi(gamma_t: Diagram, mid: Diagram, params: MetricParams) -> Matching:

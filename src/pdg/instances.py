@@ -12,13 +12,11 @@ GRID_Q = (1.0, 2.0, float("inf"))
 
 
 def random_diagram(rng: np.random.Generator, count: int) -> Diagram:
-    """count points, births uniform in [-5, 5] and persistences in [0.1, 4]."""
-    points = []
-    for i in range(count):
-        birth = float(rng.uniform(-5.0, 5.0))
-        pers = float(rng.uniform(0.1, 4.0))
-        points.append(Point(birth, birth + pers, i))
-    return Diagram(tuple(points))
+    """count points, births uniform in [-5, 5] and persistences in [0.1, 4],
+    drawn birth then persistence, point by point."""
+    coords = rng.uniform((-5.0, 0.1), (5.0, 4.0), size=(count, 2))
+    coords[:, 1] += coords[:, 0]
+    return Diagram._checked(coords, tuple(range(count)))
 
 
 def random_pair(rng: np.random.Generator, max_total: int = 6) -> tuple[Diagram, Diagram]:

@@ -27,7 +27,7 @@ copy pairs never reaches the solver.  The reduction subtracts diagonal
 costs from pair costs, so where the two diagrams nearly coincide it rounds
 the close partners' costs together; its result is then refused and the
 square matrix solved instead.  The reduced solve is not the faster one at
-every size and (p, q) (README gives the timings): the subtracted diagonal
+every size and (p, q) (CHANGES.md gives the timings): the subtracted diagonal
 costs make the tall points attractive to every row, which likely lengthens
 the solver's augmenting paths.  Either way the witness follows one canonical
 rule for the interchangeable diagonal copies: a point sent to the diagonal
@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diagram import Diagram, MetricParams, _qnorm
+from .diagram import Diagram, MetricParams, _diagonal_factor, _qnorm
 from .errors import SizeGuardError, StructuralError, ValidationError, WrongSolverError
 
 #: Largest augmented problem size the factorial (enumeration) paths accept.
@@ -235,7 +235,7 @@ def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
     bitwise: c * persistence, or c * death - c * birth where that overflows.
     A distance that overflows even so is beyond the float range: the point is
     refused, at every p alike."""
-    c = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
+    c = _diagonal_factor(q)
     grounds = c * (coords[:, 1] - coords[:, 0])
     if math.inf in grounds.tolist():  # at a few points, cheaper than a numpy reduction
         over = np.isinf(grounds)

@@ -124,10 +124,7 @@ def metric_checks(seed: int = 0, trials: int = 50) -> list[Check]:
             dac, _ = distance(a, c, params)
             dcb, _ = distance(c, b, params)
             tri_gap = max(tri_gap, dab - (dac + dcb))
-            shuffled = Diagram(tuple(
-                Point(pt.birth, pt.death, int(idx))
-                for pt, idx in zip(b.points, rng.permutation(len(b)) + 7)
-            ))
+            shuffled = Diagram._checked(b.geometry(), tuple((rng.permutation(len(b)) + 7).tolist()))
             dshuf, _ = distance(a, shuffled, params)
             blind_gap = max(blind_gap, abs(dab - dshuf))
             witness_gap = max(witness_gap, abs(matching_cost(a, b, wab, params) - dab))
@@ -156,15 +153,11 @@ def metric_checks(seed: int = 0, trials: int = 50) -> list[Check]:
     q_mono = -math.inf
     for _ in range(max(4, trials // 4)):
         a, b = random_pair(rng, max_total=6)
-        for q in GRID_Q:
-            bottleneck, _ = distance(a, b, MetricParams(math.inf, q))
-            for p in GRID_P[:-1]:
-                finite, _ = distance(a, b, MetricParams(p, q))
-                p_mono = max(p_mono, bottleneck - finite)
-        for p in GRID_P:
-            values = [distance(a, b, MetricParams(p, q))[0] for q in GRID_Q]
-            for lo, hi in zip(values, values[1:]):
-                q_mono = max(q_mono, hi - lo)
+        table = [[distance(a, b, MetricParams(p, q))[0] for q in GRID_Q] for p in GRID_P]
+        for finite in table[:-1]:  # GRID_P ends in inf
+            p_mono = max(p_mono, *(bot - fin for bot, fin in zip(table[-1], finite)))
+        for values in table:
+            q_mono = max(q_mono, *(hi - lo for lo, hi in zip(values, values[1:])))
     checks.append(_check("metric.p_monotonicity", "bottleneck <= finite", p_mono, "<= 1e-12", p_mono <= 1e-12))
     checks.append(_check("metric.q_monotonicity", "decreasing in q", q_mono, "<= 1e-12", q_mono <= 1e-12))
 

@@ -511,17 +511,41 @@ def test_verify_seed_changes_draws(capsys):
     assert first != second
 
 
-def test_verify_failure_is_exit_1(monkeypatch, capsys):
-    import pdg.cli as cli_module
+VERIFY_FAILURE_JSON = """{
+  "suite": "metric",
+  "seed": 0,
+  "checks": [
+    {
+      "name": "fake.check",
+      "params": "p=2",
+      "measured": "1.0",
+      "expected": "0.0",
+      "pass": false
+    }
+  ],
+  "failures": 1
+}
+"""
 
+
+def test_verify_failure_is_exit_1(monkeypatch, capsys, tmp_path):
+    # the payload is written in full before the one FAIL line, to stdout or --out
     def fake_suite(name, seed, **kwargs):
         return [Check("fake.check", "p=2", "1.0", "0.0", False)]
 
-    monkeypatch.setattr(cli_module, "run_suite", fake_suite)
-    code = main(["verify", "metric"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "FAIL fake.check" in err
+    monkeypatch.setattr(pdg.cli, "run_suite", fake_suite)
+    fail_line = "FAIL fake.check [p=2]: measured 1.0, expected 0.0\n"
+    csv_text = "name,params,measured,expected,pass\nfake.check,p=2,1.0,0.0,fail\n"
+    for argv, stdout in (
+        ([], VERIFY_FAILURE_JSON),
+        (["--format", "csv"], csv_text),
+    ):
+        assert main(["verify", "metric", *argv]) == 1
+        assert capsys.readouterr() == (stdout, fail_line)
+    out = tmp_path / "report.json"
+    assert main(["verify", "metric", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", fail_line)
+    assert out.read_text(encoding="utf-8") == VERIFY_FAILURE_JSON
 
 
 def test_dist_same_file_is_zero(tmp_path, capsys):

@@ -36,6 +36,11 @@ def test_ground_norm_examples():
     for q in (1.0, 1.5, 2.0, 3.0, 7.5, math.inf):
         assert ground_norm((math.inf, 1.0), q) == math.inf
         assert ground_norm((1.0, -math.inf), q) == math.inf
+    for q in (0.5, math.nan):
+        with pytest.raises(ParameterDomainError, match="q must lie in \\[1, inf\\]"):
+            ground_norm((3.0, 4.0), q)
+        with pytest.raises(ParameterDomainError, match="q must lie in \\[1, inf\\]"):
+            diagonal_distance(Point(0.0, 1.0), q)
 
 
 def test_ground_norm_general_q_between_bounds():
@@ -62,6 +67,16 @@ def test_point_validation():
         Point(0.0, math.inf)
     with pytest.raises(ValidationError):
         Point(math.nan, 1.0)
+    # a float index must be integral, as parse_diagram requires
+    for index in (1.5, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="point index must be an integer"):
+            Point(0.0, 1.0, index)
+        with pytest.raises(ValidationError, match="point index must be an integer"):
+            Diagram.from_pairs([(0.0, 1.0, index)])
+    assert Point(0.0, 1.0, 2.0).index == 2
+    assert Diagram.from_pairs([(0.0, 1.0, 2.0)]) == Diagram((Point(0.0, 1.0, 2),))
+    with pytest.raises(ValidationError, match="diagram entries must be Point, got \\(0.0, 1.0\\)"):
+        Diagram([(0.0, 1.0)])
     pt = Point(1.0, 3.0, 4)
     assert pt.persistence == 2.0
     assert pt.geometry() == (1.0, 3.0)
@@ -110,6 +125,8 @@ def test_parse_extended():
     assert parse_extended(3) == 3.0
     with pytest.raises(ParameterDomainError):
         parse_extended("two")
+    with pytest.raises(ParameterDomainError, match="nan is not a valid exponent"):
+        parse_extended("nan")
 
 
 def test_metric_params_domain():
@@ -195,6 +212,7 @@ def test_equal_diagrams_hash_equal():
     parsed = parse_diagram('{"points": [[0, 1, 5], [2.5, 7]]}')
     built = Diagram.from_pairs([(0.0, 1.0, 5), (2.5, 7.0)])
     assert parsed == built and hash(parsed) == hash(built)
+    assert parsed != 3 and parsed.__eq__(3) is NotImplemented
     assert len({parsed, built, Diagram.from_pairs([(0.0, 1.0), (2.5, 7.0)])}) == 2
     assert list(built) == [Point(0.0, 1.0, 5), Point(2.5, 7.0, 1)]
     assert repr(parsed) == (

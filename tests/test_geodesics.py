@@ -75,6 +75,8 @@ def test_convex_combination_endpoints():
     for t in (-0.25, 1.5, math.nan):
         with pytest.raises(ParameterDomainError, match="must lie in \\[0, 1\\]"):
             convex_combination(x, y, witness, t)
+    with pytest.raises(StructuralError, match="matching covers 4 slots but the diagrams define 3"):
+        convex_combination(x, Diagram(y.points[:1]), witness, 0.5)
 
 
 def test_convex_combination_to_empty_passes_the_midpoint():

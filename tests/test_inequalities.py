@@ -32,6 +32,11 @@ def test_domain_errors():
         convexity_defect_p_slack(v, v, 0.0, 2.0, 1.0)
     with pytest.raises(ParameterDomainError):
         convexity_defect_p_slack(v, v, 1.0, 2.0, 1.0)
+    for p in (1.5, math.inf):
+        with pytest.raises(ParameterDomainError, match="p must lie in \\[2, inf\\)"):
+            convexity_defect_p_slack(v, v, 0.5, p, 1.0)
+        with pytest.raises(ParameterDomainError, match="p must lie in \\[2, inf\\)"):
+            largest_empirical_defect_constant(0.5, p, np.random.default_rng(0))
     with pytest.raises(ParameterDomainError):
         jensen_partition_slack([1.0], [0.0, 1.0], 1.0)
     with pytest.raises(StructuralError):

@@ -160,3 +160,5 @@ def test_random_doubly_stochastic_marginals():
         assert plan.matrix.shape == (n, n)
         assert np.max(np.abs(plan.matrix.sum(axis=0) - 1.0)) <= 1e-12
         assert np.max(np.abs(plan.matrix.sum(axis=1) - 1.0)) <= 1e-12
+    with pytest.raises(ParameterDomainError, match="plan size must be positive, got 0"):
+        random_doubly_stochastic(rng, 0)
