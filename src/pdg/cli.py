@@ -135,8 +135,12 @@ def _run_geodesic(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_judge(judge, args: argparse.Namespace) -> dict:
-    """judge (certify_geodesic or classify_curve) applied to the curve file."""
+def _run_judge(args: argparse.Namespace) -> dict:
+    """The judge the command names, certify_geodesic or classify_curve,
+    applied to the curve file."""
+    # looked up per call, not bound into the cached parser, so a patched
+    # module attribute is used
+    judge = certify_geodesic if args.command == "certify" else classify_curve
     curve = _read(args.curve, parse_curve)
     params = _params(args, args.tol)
     return {**_pq_json(params), **judge(curve, params).to_dict()}
@@ -187,6 +191,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, func, to_csv=_flat_csv) -
     parser.set_defaults(func=func, to_csv=to_csv)
 
 
+@functools.cache  # the parser never changes, and building it costs about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdg",
@@ -207,17 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--grid", type=int, default=DEFAULT_GRID, help="number of samples")
     _add_output_flags(geo, _run_geodesic, to_csv=None)
 
-    # the judges are read here, not at import, so a patched module attribute is used
-    for name, func, text in (
-        ("certify", certify_geodesic, "check a sampled curve for constant-speed geodesy"),
-        ("classify", classify_curve, "classify a sampled curve against endpoint matchings"),
+    for name, text in (
+        ("certify", "check a sampled curve for constant-speed geodesy"),
+        ("classify", "classify a sampled curve against endpoint matchings"),
     ):
         judge = sub.add_parser(name, help=text)
         judge.add_argument("curve")
         _add_metric_flags(judge)
         # the only results that read the tolerance
         judge.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-        _add_output_flags(judge, functools.partial(_run_judge, func))
+        _add_output_flags(judge, _run_judge)
 
     gal = sub.add_parser("gallery", help="emit a named example curve")
     gal.add_argument("name", choices=GALLERY_NAMES)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ def test_verify_all_seed_0_stdout_is_pinned(capsys):
         assert digest == pinned, fmt
 
 
+
+@pytest.mark.parametrize("seed, pinned", [
+    (1, "f78db21d77bf8eeb5413d29c54c80cfc0d93cfae85516fb130617bbe24b4d5ed"),
+    (2, "dc1e818cac635050f25b9d3a3aa1c2dce42d5fe98c73a6661322bcfb4ba4dc9b"),
+    (3, "4f6df9dff2fe7a9f6280fdce5806e3c0ed19383c0d82d0c2a223e69174a9d671"),
+    (4, "ad01ab2050238b7b806a83e3778e3a1e895deaf6a342f9219218b5973ea967df"),
+    (5, "477e4d2486b95afc9f0266ddb2ec8b784f9764186ae4ff51f0ac8a7c92f91295"),
+])
+def test_verify_inequalities_stdout_is_pinned_beyond_seed_0(seed, pinned, capsys):
+    # the benchmark's draw count at more seeds: the batched draws must read
+    # each seed's stream exactly as one draw per vector does
+    assert main(["verify", "inequalities", "--seed", str(seed), "--draws", "10"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pinned
+
 def _points(n, salt):
     # a fixed diagram of n points, built by integer arithmetic so its text is stable
     return [[(i * 37 + salt) % 97 / 8, (i * 37 + salt) % 97 / 8 + 0.5 + (i * 53 + salt) % 61 / 16]
@@ -448,6 +463,39 @@ def test_cli_grid_output_is_pinned(tmp_path, diagram_files, capsys):
         out, err = capsys.readouterr()
         digest.update(f"{argv[0]}\n{out}stderr {err}exit {code}\n".encode("utf-8"))
     assert digest.hexdigest() == "100cd2277d069d04ed5345bf6d1890fc23152a6b0391c0365d73895389a28357"
+
+
+def test_the_cached_parser_answers_like_a_fresh_one(tmp_path, diagram_files, monkeypatch, capsys):
+    curve = tmp_path / "curve.json"
+    curve.write_text(CURVE_TEXTS[0])
+    runs = (
+        ["dist", *diagram_files, "--format", "csv"],
+        ["classify", str(curve), "--p", "inf"],
+        ["dist", *diagram_files, "--tol", "1"],
+        ["certify", str(curve), "--q", "1"],
+        ["verify", "inequalities", "--draws", "3"],
+    )
+
+    def run(argv, fresh):
+        if fresh:
+            pdg.cli.build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag by exiting
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = [run(argv, True) for argv in runs]
+    assert [run(argv, False) for argv in runs] == fresh
+    assert pdg.cli.build_parser() is pdg.cli.build_parser()
+    # the parser exists; judges patched now are still the ones that run
+    for name in ("certify_geodesic", "classify_curve"):
+        result = SimpleNamespace(to_dict=lambda name=name: {"judge": name})
+        monkeypatch.setattr(pdg.cli, name, lambda curve, params, result=result: result)
+    assert [run(["certify", str(curve)], False), run(["classify", str(curve)], False)] == [
+        (0, '{\n  "p": 2.0,\n  "q": 2.0,\n  "judge": "%s"\n}\n' % name, "")
+        for name in ("certify_geodesic", "classify_curve")
+    ]
 
 
 def test_bottleneck_near_the_float_range_is_quiet(tmp_path, capsys):

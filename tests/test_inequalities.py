@@ -13,7 +13,7 @@ from pdg.inequalities import (
     jensen_partition_slack,
     largest_empirical_defect_constant,
 )
-from pdg.verification import _grid_vector
+from pdg.verification import _grid_pair, _grid_vector, _grid_vectors, _random_dim
 
 
 def test_domain_errors():
@@ -178,3 +178,54 @@ def test_empirical_defect_constant_reports_p2_sharpness():
     assert constant == pytest.approx(1.0, abs=1e-9)
     constant = largest_empirical_defect_constant(0.25, 3.0, rng)
     assert constant > 0.0
+
+
+def _empirical_defect_constant_loop(t, p, rng):
+    # the pair-at-a-time form of largest_empirical_defect_constant: two draws
+    # of 8 per pair and a generator of ** powers per norm
+    def powsum(v):
+        return math.fsum(abs(x) ** p for x in v.tolist())
+
+    best = math.inf
+    for _ in range(200):
+        a = rng.uniform(-1.0, 1.0, size=8)
+        b = rng.uniform(-1.0, 1.0, size=8)
+        denom = t * (1.0 - t) * powsum(a - b)
+        if denom <= 0.0:
+            continue
+        numer = t * powsum(a) + (1.0 - t) * powsum(b) - powsum(t * a + (1.0 - t) * b)
+        best = min(best, numer / denom)
+    return best
+
+
+@pytest.mark.parametrize("t, p", [(0.25, 2.0), (0.25, 3.0), (0.75, 2.5), (0.5, 4.0)])
+def test_batched_empirical_defect_constant_is_the_loop_bitwise(t, p):
+    # the batched draw must read the same doubles and leave the generator
+    # where the loop leaves it, or the verify digests move
+    for seed in range(20):
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        value = largest_empirical_defect_constant(t, p, batched)
+        assert value.hex() == _empirical_defect_constant_loop(t, p, looped).hex(), seed
+        assert batched.uniform() == looped.uniform(), seed
+
+
+def test_grid_pair_reads_the_stream_of_two_grid_vector_draws():
+    # one integers draw of 2 * dim against two of dim, for odd and even dim:
+    # the vectors and the generator's next draw must agree
+    for dim in (1, 2, 5, 8, 15, 16):
+        for seed in range(10):
+            joined, split = np.random.default_rng(seed), np.random.default_rng(seed)
+            a, b = _grid_vectors(joined, dim)
+            assert a.tolist() == _grid_vector(split, dim).tolist(), (dim, seed)
+            assert b.tolist() == _grid_vector(split, dim).tolist(), (dim, seed)
+            assert joined.integers(0, 2**31) == split.integers(0, 2**31), (dim, seed)
+    dims = set()
+    for seed in range(40):
+        joined, split = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = _grid_pair(joined)
+        dim = _random_dim(split)
+        dims.add(dim % 2)
+        assert a.tolist() == _grid_vector(split, dim).tolist(), seed
+        assert b.tolist() == _grid_vector(split, dim).tolist(), seed
+        assert joined.integers(0, 2**31) == split.integers(0, 2**31), seed
+    assert dims == {0, 1}
