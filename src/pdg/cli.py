@@ -164,17 +164,8 @@ def _run_verify(args: argparse.Namespace) -> dict:
     return {
         "suite": args.suite,
         "seed": args.seed,
-        "checks": [
-            {
-                "name": c.name,
-                "params": c.params,
-                "measured": c.measured,
-                "expected": c.expected,
-                "pass": c.passed,
-            }
-            for c in checks
-        ],
-        "failures": sum(not c.passed for c in checks),
+        "checks": checks,
+        "failures": sum(not c["pass"] for c in checks),
     }
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -52,6 +52,18 @@ def _check_point(birth, death) -> tuple[float, float]:
     return b, d
 
 
+def _is_index(value) -> bool:
+    """Whether value can index a point: an integer (operator.index takes it)
+    that is no bool, or an integral float."""
+    if isinstance(value, float):
+        return value.is_integer()  # False for inf and nan
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 def _first_invalid(coords: np.ndarray) -> int:
     """Position of the first row of an (n, 2) float array that _check_point
     rejects, or n when there is none."""
@@ -83,8 +95,7 @@ class Point:
 
     def __post_init__(self) -> None:
         birth, death = _check_point(self.birth, self.death)
-        # is_integer() is False for inf and nan, which int() cannot take
-        if isinstance(self.index, float) and not self.index.is_integer():
+        if not _is_index(self.index):
             raise ValidationError(f"point index must be an integer, got {self.index!r}")
         object.__setattr__(self, "birth", birth)
         object.__setattr__(self, "death", death)
@@ -98,7 +109,7 @@ class Point:
         return (self.birth, self.death)
 
 
-_GEOMETRY = attrgetter("birth", "death")
+_GEOMETRY = operator.attrgetter("birth", "death")
 
 
 class Diagram:
@@ -321,8 +332,7 @@ def _row_fault(pos: int, row) -> ParseError | None:
             isinstance(entry, bool) or not isinstance(entry, (int, float))
         ):
             return ParseError(f'"points" row {pos} holds a non-numeric entry: {entry!r}')
-    # is_integer() is False for inf and nan, which int() cannot take
-    if len(row) == 3 and isinstance(row[2], float) and not row[2].is_integer():
+    if len(row) == 3 and not _is_index(row[2]):
         return ParseError(f'"points" row {pos} has a non-integer index: {row[2]!r}')
     return None
 

@@ -31,6 +31,7 @@ from .errors import (
 from .gallery import gallery_frame
 from .matching import (
     Matching,
+    _check_assignment,
     distance,
     enumerate_optimal_matchings,
     matching_from_assignment,
@@ -130,10 +131,7 @@ def _legs(x: Diagram, y: Diagram, m: Matching) -> list:
     """
     nx = len(x)
     ny = len(y)
-    if len(m.assignment) != nx + ny:
-        raise StructuralError(
-            f"matching covers {len(m.assignment)} slots but the diagrams define {nx + ny}"
-        )
+    _check_assignment(nx + ny, m.assignment)
     xs = x.geometry().tolist()
     ys = y.geometry().tolist()
     legs = []
@@ -388,11 +386,7 @@ def characterization_audit(x: Diagram, y: Diagram, m: Matching, mid: Diagram,
     positions = [(s * sb + t * eb, s * sd + t * ed) for (sb, sd), (eb, ed), _, _ in legs]
     gamma_size = sum(d > b for b, d in positions)
     mids = mid.geometry().tolist()
-    n_psi = gamma_size + len(mids)
-    if len(psi.assignment) != n_psi:
-        raise StructuralError(
-            f"psi covers {len(psi.assignment)} slots but the frame and midpoint define {n_psi}"
-        )
+    _check_assignment(gamma_size + len(mids), psi.assignment)
 
     # (source, target, image) per transport leg: psi sends a leg's time-t
     # position to a point of mid or to that position's projection, and a leg

@@ -296,21 +296,20 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
     return AugmentedProblem(x, y, params, ground, cost, scale)
 
 
-def _check_assignment(x: Diagram, y: Diagram, assignment) -> None:
-    n = len(x) + len(y)
+def _check_assignment(n: int, assignment) -> None:
+    """Refuse an assignment that is not a bijection of n slots onto n slots,
+    the one rule every caller handed a matching or an assignment relies on."""
     if len(assignment) != n:
-        raise StructuralError(
-            f"assignment covers {len(assignment)} slots but the diagrams define {n}"
-        )
+        raise StructuralError(f"matching covers {len(assignment)} slots but the diagrams define {n}")
     if sorted(assignment) != list(range(n)):
         raise StructuralError("assignment is not a permutation of the right slots")
 
 
 def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> tuple[float, ...]:
     """The n selected entries of the ground matrix, computed without building it."""
-    _check_assignment(x, y, assignment)
     nx = len(x)
     ny = len(y)
+    _check_assignment(nx + ny, assignment)
     xs = x.geometry()
     ys = y.geometry()
     cols = np.asarray(assignment, dtype=np.intp)

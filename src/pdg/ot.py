@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagram import DEFAULT_TOL, Diagram, MetricParams
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
-from .matching import AugmentedProblem, Matching, _aggregate, _exhaust, _solved, distance
+from .matching import AugmentedProblem, Matching, _aggregate, _check_assignment, _exhaust, _solved, distance
 
 MARGINAL_TOL = 1e-12
 
@@ -56,6 +56,7 @@ class Coupling:
 def coupling_from_matching(m: Matching) -> Coupling:
     """The permutation plan that moves each slot onto its matched slot."""
     n = len(m.assignment)
+    _check_assignment(n, m.assignment)
     matrix = np.zeros((n, n), dtype=float)
     matrix[np.arange(n), m.assignment] = 1.0
     return Coupling(matrix)

@@ -1,14 +1,13 @@
 """Deterministic verification suites behind the command-line ``verify``.
 
-Each suite returns a flat list of named checks with measured and expected
-values, so callers can render one row per check.  All randomness flows from
-one seeded generator per suite, which makes reruns byte-identical.
+Each suite returns a list of rows, each the dict ``pdg verify`` prints for
+one check.  All randomness flows from one seeded generator per suite, which
+makes reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,23 +43,16 @@ from .ot import (
 SUITES = ("metric", "ot", "inequalities", "gallery", "all")
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    params: str
-    measured: str
-    expected: str
-    passed: bool
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _check(name: str, params: str, measured, expected, passed: bool) -> Check:
-    return Check(name, params, _fmt(measured), _fmt(expected), bool(passed))
+def _check(name: str, params: str, measured, expected, passed: bool) -> dict:
+    """One verify row, in the form and key order pdg verify prints it."""
+    return {"name": name, "params": params, "measured": _fmt(measured),
+            "expected": _fmt(expected), "pass": bool(passed)}
 
 
 def _pq_label(p: float, q: float) -> str:
@@ -71,9 +63,9 @@ def _pq_label(p: float, q: float) -> str:
 # metric suite
 
 
-def metric_checks(seed: int = 0, trials: int = 50) -> list[Check]:
+def metric_checks(seed: int = 0, trials: int = 50) -> list[dict]:
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
+    checks: list[dict] = []
 
     x, y = four_point_pair()
     value, _ = distance(x, y, MetricParams(1.0, 1.0))
@@ -168,9 +160,9 @@ def metric_checks(seed: int = 0, trials: int = 50) -> list[Check]:
 # transport suite
 
 
-def ot_checks(seed: int, trials: int) -> list[Check]:
+def ot_checks(seed: int, trials: int) -> list[dict]:
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
+    checks: list[dict] = []
 
     x, y = four_point_pair()
     for p in (1.0, 2.0, 3.0):
@@ -249,7 +241,7 @@ def _grid_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return _grid_vectors(rng, _random_dim(rng))
 
 
-def _lowest(checks: list[Check], name: str, label: str, ps, draws: int, slack) -> None:
+def _lowest(checks: list[dict], name: str, label: str, ps, draws: int, slack) -> None:
     """Append one row per p in ps: the lowest of draws samples of slack(p),
     which passes at >= -1e-12."""
     for p in ps:
@@ -261,9 +253,9 @@ def _lowest(checks: list[Check], name: str, label: str, ps, draws: int, slack) -
         checks.append(_check(name, label.format(p=p), low, ">= -1e-12", low >= -1e-12))
 
 
-def inequality_checks(seed: int = 0, draws: int = 1000) -> list[Check]:
+def inequality_checks(seed: int = 0, draws: int = 1000) -> list[dict]:
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
+    checks: list[dict] = []
     dyadic_ts = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 
     def dyadic_t() -> float:
@@ -337,9 +329,9 @@ def inequality_checks(seed: int = 0, draws: int = 1000) -> list[Check]:
 # gallery suite
 
 
-def gallery_checks(grid: int = DEFAULT_GRID, seed: int = 0) -> list[Check]:
+def gallery_checks(grid: int = DEFAULT_GRID, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
+    checks: list[dict] = []
     step = 1.0 / (grid - 1)
 
     one = MetricParams(1.0, 1.0)
@@ -426,7 +418,7 @@ def gallery_checks(grid: int = DEFAULT_GRID, seed: int = 0) -> list[Check]:
 
 
 def run_suite(name: str, seed: int = 0, *, trials: int = 50, draws: int = 1000,
-              grid: int = DEFAULT_GRID) -> list[Check]:
+              grid: int = DEFAULT_GRID) -> list[dict]:
     # a suite run with no trials or draws would pass its checks vacuously
     for flag, value in (("trials", trials), ("draws", draws)):
         if value < 1:

@@ -53,10 +53,10 @@ def suite(name):
 def rows(name, expected):
     """The measured texts of the rows called name, from the suite its prefix
     names; their (params, expected) pairs must be ``expected`` and all must pass."""
-    picked = [c for c in suite(name.split(".")[0])[0] if c.name == name]
-    assert [(c.params, c.expected) for c in picked] == expected
-    assert [c for c in picked if not c.passed] == []
-    return [c.measured for c in picked]
+    picked = [c for c in suite(name.split(".")[0])[0] if c["name"] == name]
+    assert [(c["params"], c["expected"]) for c in picked] == expected
+    assert [c for c in picked if not c["pass"]] == []
+    return [c["measured"] for c in picked]
 
 
 def test_criterion_01_four_point_distance_and_speed():
@@ -174,7 +174,7 @@ def test_criterion_11_inequality_oracles():
     # the verify suite's own checks: every family at 1000 draws per p, each
     # family's lowest slack bounded by -1e-12, plus the suite's closed forms
     checks = inequality_checks(seed=3, draws=1000)
-    assert [c for c in checks if not c.passed] == []
+    assert [c for c in checks if not c["pass"]] == []
     families = {
         "ineq.clarkson": (2.0, 2.5, 3.0, 4.0),
         "ineq.defect_p": (2.0, 2.5, 3.0, 4.0),
@@ -182,12 +182,12 @@ def test_criterion_11_inequality_oracles():
         "ineq.defect_2": (1.1, 1.5, 2.0),
         "ineq.jensen": (1.5, 2.0, 3.0),
     }
-    drawn = [c for c in checks if c.expected == ">= -1e-12"]
+    drawn = [c for c in checks if c["expected"] == ">= -1e-12"]
     for name, ps in families.items():
-        labels = [c.params for c in drawn if c.name == name]
+        labels = [c["params"] for c in drawn if c["name"] == name]
         assert len(labels) == len(ps)
         assert all(f"p={p:g}" in label for p, label in zip(ps, labels))
-    low = min(float(c.measured) for c in drawn)
+    low = min(float(c["measured"]) for c in drawn)
 
     v = np.array([0.5, -0.75, 0.25])
     w = np.array([0.125, 2.0, -1.5])

@@ -15,7 +15,7 @@ import pdg.verification as verification
 from pdg.cli import main
 from pdg.gallery import GALLERY_NAMES
 from pdg.geodesics import MAX_GRID, sample_gallery
-from pdg.verification import SUITES, Check, run_suite
+from pdg.verification import SUITES, run_suite
 
 X_TEXT = '{"points": [[0, 10], [1, 9]]}'
 Y_TEXT = '{"points": [[1, 11], [2, 10]]}'
@@ -269,7 +269,7 @@ def test_every_suite_passes_at_the_benchmark_sizes():
     # the sizes of perfbench's verify workload, which counts a failed row as a failed operation
     for seed in (*range(8), 2**31 - 2):
         for name in SUITES[:-1]:
-            failed = [c for c in run_suite(name, seed, trials=2, draws=10, grid=5) if not c.passed]
+            failed = [c for c in run_suite(name, seed, trials=2, draws=10, grid=5) if not c["pass"]]
             assert failed == [], (name, seed)
 
 
@@ -363,6 +363,39 @@ def test_verify_inequalities_stdout_is_pinned_beyond_seed_0(seed, pinned, capsys
     # each seed's stream exactly as one draw per vector does
     assert main(["verify", "inequalities", "--seed", str(seed), "--draws", "10"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pinned
+
+
+VERIFY_PINS_BEYOND_SEED_0 = {
+    ("metric", 1): ("b70b18285641debfd9af9b0ba85bd0ba57a29196b26e9ea9a1a93cea25709dcf",
+                    "48c62b6acf612c6215654d126331521ad4a2ef91f715605d26194bf28e7b4692"),
+    ("metric", 2): ("40f2a657c707072d82d7c0940b5c3f4b663c2e0035100ce6f8c2ce15efceaf4d",
+                    "90e74cee99af122e51f9aa8fb761901cfb6042e123cfb3af1273440a00f4ae66"),
+    ("metric", 3): ("e52e84dc9a62ce2fdb68bbebe573a9df96956274158080fdb08b3b3fa4932b23",
+                    "97afd2f18185a801dcb1cf927408fcb89d4a42c9187f5b6cad370376ba22f23f"),
+    ("ot", 1): ("4502b1277f091a105585d5866fdeadf87c58c59a329d1fbb51af1086ec96d31c",
+                "ef94cd7f0508be8475e23df08ac194d533883149cfb9b6c27e9014f6bbac1dec"),
+    ("ot", 2): ("c7de247d592b218c1f0378b0fc340208003c128175f9a516802bf04648afb650",
+                "f51822b420944b5db06cbd323d197472e2b36d1331f8117788e97cf3121e166b"),
+    ("ot", 3): ("cbd48397ada656c9d865a56c33adfed234f6dbcbf82cf66ba523c9f04c9f9904",
+                "86f100672b63ca86d82e5bf7e1cf852e9915d1712af4d57fd15027040660525b"),
+    ("gallery", 1): ("caa39846a45e1df89da782abf5f1e0de034356f515a747283c155232a4d2086a",
+                     "07ae5ac5c6dad2197bcda3af92d99b2c985b93e93de425319694269c0b80a841"),
+    ("gallery", 2): ("090c00363f8deddfd18801a676fc56664333fe50e50f534baf0a5b36d7a76c15",
+                     "07ae5ac5c6dad2197bcda3af92d99b2c985b93e93de425319694269c0b80a841"),
+    ("gallery", 3): ("2c813886ff9c3b2adab3eb246a852325305f3b86cf328e1aa990d86f0fdea3b8",
+                     "07ae5ac5c6dad2197bcda3af92d99b2c985b93e93de425319694269c0b80a841"),
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(VERIFY_PINS_BEYOND_SEED_0))
+def test_verify_stdout_is_pinned_beyond_seed_0(suite, seed, capsys):
+    # the benchmark's sizes, in both formats: every row's value, text and
+    # order at three more seeds (the gallery's csv rows draw no seed-dependent
+    # text, so its three csv digests agree)
+    argv = ["verify", suite, "--seed", str(seed), "--trials", "2", "--draws", "10", "--grid", "5"]
+    for fmt, pinned in zip(("json", "csv"), VERIFY_PINS_BEYOND_SEED_0[suite, seed]):
+        assert main([*argv, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pinned, fmt
 
 def _points(n, salt):
     # a fixed diagram of n points, built by integer arithmetic so its text is stable
@@ -579,7 +612,7 @@ VERIFY_FAILURE_JSON = """{
 def test_verify_failure_is_exit_1(monkeypatch, capsys, tmp_path):
     # the payload is written in full before the one FAIL line, to stdout or --out
     def fake_suite(name, seed, **kwargs):
-        return [Check("fake.check", "p=2", "1.0", "0.0", False)]
+        return [{"name": "fake.check", "params": "p=2", "measured": "1.0", "expected": "0.0", "pass": False}]
 
     monkeypatch.setattr(pdg.cli, "run_suite", fake_suite)
     fail_line = "FAIL fake.check [p=2]: measured 1.0, expected 0.0\n"

@@ -67,13 +67,15 @@ def test_point_validation():
         Point(0.0, math.inf)
     with pytest.raises(ValidationError):
         Point(math.nan, 1.0)
-    # a float index must be integral, as parse_diagram requires
-    for index in (1.5, math.nan, math.inf):
+    # an index is an integer that is no bool, or an integral float, as
+    # parse_diagram requires; anything else is refused alike
+    for index in (1.5, math.nan, math.inf, None, "a", [1], "3", True, np.True_):
         with pytest.raises(ValidationError, match="point index must be an integer"):
             Point(0.0, 1.0, index)
         with pytest.raises(ValidationError, match="point index must be an integer"):
             Diagram.from_pairs([(0.0, 1.0, index)])
     assert Point(0.0, 1.0, 2.0).index == 2
+    assert Point(0.0, 1.0, np.int64(3)).index == 3 and type(Point(0.0, 1.0, np.int64(3)).index) is int
     assert Diagram.from_pairs([(0.0, 1.0, 2.0)]) == Diagram((Point(0.0, 1.0, 2),))
     with pytest.raises(ValidationError, match="diagram entries must be Point, got \\(0.0, 1.0\\)"):
         Diagram([(0.0, 1.0)])
