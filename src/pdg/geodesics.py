@@ -145,6 +145,12 @@ def _legs(x: Diagram, y: Diagram, m: Matching) -> list:
     return legs
 
 
+def _at(legs: list, t: float) -> list:
+    """Each leg's position at time t, (1 - t) * start + t * end."""
+    s = 1.0 - t
+    return [(s * sb + t * eb, s * sd + t * ed) for (sb, sd), (eb, ed), _, _ in legs]
+
+
 def convex_combination(x: Diagram, y: Diagram, m: Matching, t: float) -> Diagram:
     """The time-t frame of the straight-line interpolation along a matching.
 
@@ -158,12 +164,10 @@ def convex_combination(x: Diagram, y: Diagram, m: Matching, t: float) -> Diagram
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise ParameterDomainError(f"interpolation time must lie in [0, 1], got {t}")
-    s = 1.0 - t
+    legs = _legs(x, y, m)
     coords = []
     raw = []
-    for (sb, sd), (eb, ed), source, target in _legs(x, y, m):
-        b = s * sb + t * eb
-        d = s * sd + t * ed
+    for (b, d), (_, _, source, target) in zip(_at(legs, t), legs):
         if d > b:
             coords.append((b, d))
             raw.append(target if t >= 1.0 or source is None else source)
@@ -382,29 +386,20 @@ def characterization_audit(x: Diagram, y: Diagram, m: Matching, mid: Diagram,
         raise ParameterDomainError(f"audit time must lie strictly inside (0, 1), got {t}")
 
     legs = _legs(x, y, m)
+    positions = _at(legs, t)
     s = 1.0 - t
-    positions = [(s * sb + t * eb, s * sd + t * ed) for (sb, sd), (eb, ed), _, _ in legs]
-    gamma_size = sum(d > b for b, d in positions)
-    mids = mid.geometry().tolist()
-    _check_assignment(gamma_size + len(mids), psi.assignment)
-
-    # (source, target, image) per transport leg: psi sends a leg's time-t
-    # position to a point of mid or to that position's projection, and a leg
-    # dropped on the diagonal stays where it is
-    images = iter(psi.assignment)
-    triples = []
-    for (source, target, _, _), here in zip(legs, positions):
-        image = here
-        if here[1] > here[0]:
-            j = next(images)
-            image = mids[j] if j < len(mids) else [_midpoint(*here)] * 2
-        triples.append((source, target, image))
-    for j in images:
-        if j < len(mids):
-            # a midpoint point fed from the diagonal: its source and target
-            # legs both start at its own projection
-            foot = [_midpoint(*mids[j])] * 2
-            triples.append((foot, foot, mids[j]))
+    # one (source, target, image) per transport leg.  psi reads the time-t
+    # frame, its points in leg order, through the decoder m went through: a
+    # point's image is the end of its own leg, a point of mid or its
+    # projection, and a leg dropped on the diagonal stays where it is.  The
+    # legs left over are mid's points fed from the diagonal, whose source
+    # and target legs both start at their own projection.
+    moving = [here for here in positions if here[1] > here[0]]
+    gamma = Diagram._trusted(np.array(moving, dtype=float).reshape(-1, 2), tuple(range(len(moving))))
+    images = iter(_legs(gamma, mid, psi))
+    triples = [(source, target, next(images)[1] if here[1] > here[0] else here)
+               for (source, target, _, _), here in zip(legs, positions)]
+    triples += [(foot, foot, image) for foot, image, _, _ in images]
 
     positive_terms = []
     defect_terms = []

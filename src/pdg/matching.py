@@ -84,7 +84,11 @@ class Matching:
 
     def inverse(self) -> "Matching":
         """The same matching viewed from the other diagram's side."""
-        inv = sorted(range(len(self.assignment)), key=self.assignment.__getitem__)
+        n = len(self.assignment)
+        _check_assignment(n, self.assignment)
+        inv = [0] * n
+        for i, j in enumerate(self.assignment):
+            inv[j] = i
         return Matching(tuple(inv), tuple(self.grounds[i] for i in inv), self.total)
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import inequalities as ineq
-from .diagram import DEFAULT_TOL, Diagram, MetricParams, Point
+from .diagram import DEFAULT_TOL, Diagram, MetricParams, Point, _diagonal_factor
 from .errors import ParameterDomainError
 from .geodesics import (
     DEFAULT_GRID,
@@ -74,7 +74,7 @@ def metric_checks(seed: int = 0, trials: int = 50) -> list[dict]:
     for k in (1.0, 4.0, 10.0):
         for q in GRID_Q:
             value, _ = distance(single_tall_point(k), Diagram(), MetricParams(math.inf, q))
-            expected = 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0) * k
+            expected = _diagonal_factor(q) * k
             checks.append(_check(
                 "metric.single_point_bottleneck", f"k={k:g},q={q:g}",
                 value, expected, abs(value - expected) <= 1e-12,

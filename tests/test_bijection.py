@@ -38,6 +38,7 @@ def _refusals(bad: Matching):
         "coupling_from_matching": lambda: coupling_from_matching(bad),
         "matching_cost": lambda: matching_cost(X, Y, bad, PARAMS),
         "matching_from_assignment": lambda: matching_from_assignment(X, Y, bad.assignment, PARAMS),
+        "Matching.inverse": lambda: bad.inverse(),
     }
 
 

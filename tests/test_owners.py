@@ -1,0 +1,52 @@
+"""Rules the package writes once keep their one owner: JSON is decoded in
+diagram._load_json, stdout is written in cli._emit, and the diagonal factor
+2^(1/q - 1) is computed in diagram._diagonal_factor."""
+
+import ast
+from pathlib import Path
+
+import pdg
+
+SOURCE = Path(pdg.__file__).parent
+
+
+def _is_attribute(node, module: str, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id == module)
+
+
+def _is_diagonal_factor(node) -> bool:
+    """A power of 2 whose exponent reads q."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2.0
+            and any(isinstance(n, ast.Name) and n.id == "q" for n in ast.walk(node.right)))
+
+
+def _places(matches) -> set[str]:
+    """module.function, for the innermost function around every node of the
+    package's source that matches (module.<module> at the top level)."""
+    places = set()
+
+    def visit(node, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if matches(node):
+            places.add(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return places
+
+
+def test_json_is_decoded_in_one_place():
+    assert _places(lambda node: _is_attribute(node, "json", "loads")) == {"diagram._load_json"}
+
+
+def test_stdout_is_written_in_one_place():
+    assert _places(lambda node: _is_attribute(node, "sys", "stdout")) == {"cli._emit"}
+
+
+def test_diagonal_factor_is_written_once():
+    assert _places(_is_diagonal_factor) == {"diagram._diagonal_factor"}
