@@ -10,7 +10,7 @@ diagonal exceeds the float range is refused, and a real pair whose norm
 overflows costs +inf at every p and q.  The matrix is built by numpy
 broadcasts over the two point arrays, each distinct entry once and each
 bitwise equal to the scalar norm: at q = 2 the real pairs go through
-math.hypot in an object array, or from HYPOT_PORT_FROM pairs on through
+math.hypot one lane at a time, or from HYPOT_PORT_FROM pairs on through
 _hypot_port, a numpy port of CPython's math.hypot that falls back to it on
 zero, infinite and subnormal lanes.  At finite p, from BLOCKWISE_POWER_FROM
 pairs on, the p-th power is taken over the distinct costs only.  A solver
@@ -121,23 +121,32 @@ class AugmentedProblem:
         return len(self.y)
 
 
-#: math.hypot and _qnorm as ufuncs over object arrays.  np.hypot is not used
-#: on purpose: it differs from math.hypot in the last bit on some entries,
-#: and a ground entry must equal the scalar norm bitwise, so that a witness
-#: reprices to its value exactly and a bottleneck value is found among the
-#: entries of an independently built matrix.  From HYPOT_PORT_FROM entries
-#: on, q = 2 runs through _hypot_port instead, which gives the same bits.
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-_qnorm_ufunc = np.frompyfunc(_qnorm, 3, 1)
+def _lanes(norm, a: np.ndarray, *rest) -> np.ndarray:
+    """norm(x, y, *rest) over the (x, y) lanes on the last axis of a, as a
+    float array of a's other axes: one map over the two lists of one tolist,
+    each lane taken on Python floats."""
+    xs, ys = a.reshape(-1, 2).T.tolist()
+    return np.fromiter(map(norm, xs, ys, *rest), float, len(xs)).reshape(a.shape[:-1])
+
+
+def _hypot(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """math.hypot elementwise.  np.hypot is not used on purpose: it differs
+    from math.hypot in the last bit on some entries, and a ground entry must
+    equal the scalar norm bitwise, so that a witness reprices to its value
+    exactly and a bottleneck value is found among the entries of an
+    independently built matrix.  From HYPOT_PORT_FROM entries on, q = 2 runs
+    through _hypot_port instead, which gives the same bits."""
+    return _lanes(math.hypot, np.stack((ax, ay), axis=-1))
+
 
 #: q = 2 grounds go through _hypot_port from this many entries, and through
-#: the object array _hypot below it.  The port's fixed cost is some 60 numpy
-#: calls (0.05-0.07 ms); the object array costs 0.14-0.22 us an entry.  On
-#: random diagrams (births in [-5, 5], persistences in [0.1, 4]), over three
-#: interleaved sweeps, the port took 1.05-1.18x the object array's time at
-#: 400 entries, 0.86-1.02x at 484, 0.83-0.98x at 576 and 0.36-0.47x at 2500;
-#: certify_geodesic on frames of 20-22 points (mostly 462-484 entries) built
-#: 1.04x slower through the port.
+#: math.hypot lane by lane below it.  The port's fixed cost is some 60 numpy
+#: calls (0.05-0.07 ms).  On random blocks (coordinates uniform in [-5, 5]),
+#: best of 15 on a shared 2-core host, the lanes took 1.6 us at 1 entry
+#: against the port's 46, 41 against 53 at 484 and 61 against 80 at 625, and
+#: the port won from 900 entries on (74 against 83), so the two cross between
+#: 625 and 900 entries.  The bound stays at 500 until a build-level
+#: measurement moves it.
 HYPOT_PORT_FROM = 500
 
 #: At finite p, from this many real entries on, the cost is raised to the
@@ -230,8 +239,8 @@ def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         if ax.size >= HYPOT_PORT_FROM:
             return _hypot_port(ax, ay)
-        return _hypot(ax, ay).astype(float)
-    return _qnorm_ufunc(ax, ay, q).astype(float)
+        return _lanes(math.hypot, a)
+    return _lanes(_qnorm, a, itertools.repeat(q))
 
 
 def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:

@@ -116,7 +116,8 @@ def metric_checks(seed: int = 0, trials: int = 50) -> list[dict]:
             dac, _ = distance(a, c, params)
             dcb, _ = distance(c, b, params)
             tri_gap = max(tri_gap, dab - (dac + dcb))
-            shuffled = Diagram._checked(b.geometry(), tuple((rng.permutation(len(b)) + 7).tolist()))
+            # b's coordinates, validated, under a permutation of distinct indices
+            shuffled = Diagram._trusted(b.geometry(), tuple((rng.permutation(len(b)) + 7).tolist()))
             dshuf, _ = distance(a, shuffled, params)
             blind_gap = max(blind_gap, abs(dab - dshuf))
             witness_gap = max(witness_gap, abs(matching_cost(a, b, wab, params) - dab))

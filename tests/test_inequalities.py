@@ -229,3 +229,209 @@ def test_grid_pair_reads_the_stream_of_two_grid_vector_draws():
         assert b.tolist() == _grid_vector(split, dim).tolist(), seed
         assert joined.integers(0, 2**31) == split.integers(0, 2**31), seed
     assert dims == {0, 1}
+
+
+# The oracles as numpy array expressions: each slack from whole-array sums,
+# differences and mixes, kept here as the reference the float form must match
+# bit for bit, and raise as, on every input.
+
+
+def _ref_vector(v, name):
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise StructuralError(f"{name} must be a nonempty 1-d vector")
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"{name} holds non-finite entries")
+    return arr
+
+
+def _ref_pair(v, w):
+    a = _ref_vector(v, "v")
+    b = _ref_vector(w, "w")
+    if a.shape != b.shape:
+        raise StructuralError(f"vectors differ in length: {a.size} vs {b.size}")
+    return a, b
+
+
+def _ref_powsum(v, p):
+    return math.fsum(x ** p for x in np.abs(v).tolist())
+
+
+def _ref_sqnorm(v, p):
+    return _ref_powsum(v, p) ** (2.0 / p)
+
+
+def _ref_t(t):
+    t = float(t)
+    if not (0.0 < t < 1.0):
+        raise ParameterDomainError(f"t must lie in (0, 1), got {t}")
+    return t
+
+
+def _ref_clarkson(v, w, p):
+    if not (2.0 <= p < math.inf):
+        raise ParameterDomainError(f"p must lie in [2, inf), got {p}")
+    a, b = _ref_pair(v, w)
+    return (2.0 ** (p - 1.0) * (_ref_powsum(a, p) + _ref_powsum(b, p))
+            - _ref_powsum(a + b, p) - _ref_powsum(a - b, p))
+
+
+def _ref_defect_p(v, w, t, p, constant):
+    if not (2.0 <= p < math.inf):
+        raise ParameterDomainError(f"p must lie in [2, inf), got {p}")
+    t = _ref_t(t)
+    a, b = _ref_pair(v, w)
+    return (t * _ref_powsum(a, p) + (1.0 - t) * _ref_powsum(b, p)
+            - t * (1.0 - t) * float(constant) * _ref_powsum(a - b, p)
+            - _ref_powsum(t * a + (1.0 - t) * b, p))
+
+
+def _ref_bcl(v, w, p):
+    if not (1.0 < p <= 2.0):
+        raise ParameterDomainError(f"p must lie in (1, 2], got {p}")
+    a, b = _ref_pair(v, w)
+    return (_ref_sqnorm(a + b, p) + _ref_sqnorm(a - b, p)
+            - 2.0 * _ref_sqnorm(a, p) - 2.0 * (p - 1.0) * _ref_sqnorm(b, p))
+
+
+def _ref_defect_2(v, w, t, p):
+    if not (1.0 < p <= 2.0):
+        raise ParameterDomainError(f"p must lie in (1, 2], got {p}")
+    t = _ref_t(t)
+    a, b = _ref_pair(v, w)
+    return (t * _ref_sqnorm(a, p) + (1.0 - t) * _ref_sqnorm(b, p)
+            - (p - 1.0) * t * (1.0 - t) * _ref_sqnorm(a - b, p)
+            - _ref_sqnorm(t * a + (1.0 - t) * b, p))
+
+
+def _ref_jensen(amounts, times, p):
+    if not (1.0 < p < math.inf):
+        raise ParameterDomainError(f"p must lie in (1, inf), got {p}")
+    a = _ref_vector(amounts, "amounts")
+    t = _ref_vector(times, "times")
+    if t.size != a.size + 1:
+        raise StructuralError(f"times must hold one more entry than amounts ({t.size} vs {a.size})")
+    if np.any(a < 0.0):
+        raise ParameterDomainError("amounts must be nonnegative")
+    gaps = np.diff(t)
+    if np.any(gaps <= 0.0):
+        raise ParameterDomainError("times must be strictly increasing")
+    lhs = math.fsum(a.tolist()) ** p / float(t[-1] - t[0]) ** (p - 1.0)
+    rhs = math.fsum(x ** p / g ** (p - 1.0) for x, g in zip(a.tolist(), gaps.tolist()))
+    return rhs - lhs
+
+
+_ORACLES = (
+    (clarkson_slack, _ref_clarkson),
+    (convexity_defect_p_slack, _ref_defect_p),
+    (bcl_slack, _ref_bcl),
+    (convexity_defect_2_slack, _ref_defect_2),
+    (jensen_partition_slack, _ref_jensen),
+)
+
+_CLARKSON_PS = (2.0, 2.5, 3.0, 4.0)
+_BCL_PS = (1.1, 1.5, 2.0)
+_JENSEN_PS = (1.5, 2.0, 3.0)
+_TS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.0 ** -1022, 1e300, -1e300)
+
+
+def _outcome(fn, *args):
+    """The slack's bits, or the class and message of what it raised."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # any refusal: its class and message are compared
+        return type(exc), str(exc)
+
+
+def _draw_vector(rng, dim):
+    """One vector of dim entries: grid dyadics, uniform doubles, or uniform
+    doubles salted with -0.0, subnormals and +-1e300."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return _grid_vector(rng, dim)
+    v = rng.uniform(-10.0, 10.0, dim)
+    if kind == 2:
+        salt = rng.random(dim) < 0.3
+        v[salt] = rng.choice(_SPECIALS, int(salt.sum()))
+    return v
+
+
+def _as_given(rng, v):
+    """v as a list, a tuple, an int array or a float array."""
+    form = int(rng.integers(0, 4))
+    if form == 0:
+        return v.tolist()
+    if form == 1:
+        return tuple(v.tolist())
+    if form == 2:
+        return np.trunc(np.clip(v, -1e18, 1e18)).astype(np.int64)
+    return v
+
+
+def _oracle_calls(rng):
+    """Seeded calls of every public slack oracle on vectors of 1-16 entries."""
+    dim = int(rng.integers(1, 17))
+    v = _as_given(rng, _draw_vector(rng, dim))
+    w = _as_given(rng, _draw_vector(rng, dim))
+    t = _TS[int(rng.integers(0, len(_TS)))]
+    for p in _CLARKSON_PS:
+        yield 0, (v, w, p)
+        for constant in (2.0 ** (2.0 - p), 0.5, 1.0, 2.0):
+            yield 1, (v, w, t, p, constant)
+    for p in _BCL_PS:
+        yield 2, (v, w, p)
+        yield 3, (v, w, t, p)
+    count = int(rng.integers(1, 9))
+    amounts = np.abs(_draw_vector(rng, count))
+    gaps = np.abs(_draw_vector(rng, count))
+    gaps[gaps == 0.0] = 1.0
+    times = np.concatenate(([rng.uniform(-5.0, 5.0)], rng.uniform(-5.0, 5.0) + np.cumsum(gaps)))
+    for p in _JENSEN_PS:
+        yield 4, (_as_given(rng, amounts), _as_given(rng, times), p)
+
+
+def test_slack_oracles_are_the_array_expressions_bitwise():
+    seen = set()
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 22])
+        for _ in range(10):
+            for which, args in _oracle_calls(rng):
+                oracle, reference = _ORACLES[which]
+                got = _outcome(oracle, *args)
+                assert got == _outcome(reference, *args), (oracle.__name__, seed, args)
+                seen.add((which, isinstance(got, str)))
+    # every oracle gave values, and some draw (an overflowing power) raised
+    assert {which for which, valued in seen if valued} == set(range(5))
+    assert any(not valued for _, valued in seen)
+
+
+def test_slack_oracles_refuse_bad_input_as_the_array_expressions_do():
+    v, w = [1.0, -2.0], [0.5, 0.25]
+    bad_pairs = [
+        (v, [1.0, math.nan]), ([math.inf, 1.0], w), ([[1.0, 2.0]], [[1.0, 2.0]]),
+        (v, np.ones((2, 2))), ([], []), (v, []), ([1.0], w), (np.zeros(3), np.zeros(2)),
+        (np.array(1.0), np.array(1.0)),
+    ]
+    calls = []
+    for a, b in bad_pairs + [(v, w)]:
+        for p in (2.0, 3.0, 1.5, 1.0, math.inf, math.nan):
+            calls += [(0, (a, b, p)), (2, (a, b, p))]
+            for t in (0.5, 0.0, 1.0, -0.25, math.nan, 1.5):
+                calls += [(1, (a, b, t, p, 1.0)), (3, (a, b, t, p))]
+    bad_partitions = [
+        ([1.0], [0.0, math.inf]), ([math.nan], [0.0, 1.0]), ([], [0.0]), ([1.0], []),
+        ([1.0, 2.0], [0.0, 1.0]), ([1.0], [0.0, 1.0, 2.0]), ([-1.0], [0.0, 1.0]),
+        ([1.0, -0.5], [0.0, 0.5, 1.0]), ([1.0], [1.0, 0.5]), ([1.0, 1.0], [0.0, 1.0, 1.0]),
+        ([-1.0, 1.0], [0.0, 2.0, 1.0]), ([[1.0]], [[0.0, 1.0]]), ([1.0], [0.0, 1.0]),
+    ]
+    for a, t in bad_partitions:
+        for p in (2.0, 1.0, 0.5, math.inf, math.nan):
+            calls.append((4, (a, t, p)))
+    refused = 0
+    for which, args in calls:
+        oracle, reference = _ORACLES[which]
+        got = _outcome(oracle, *args)
+        assert got == _outcome(reference, *args), (oracle.__name__, args)
+        refused += not isinstance(got, str)
+    assert refused > len(calls) // 2

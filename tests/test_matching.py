@@ -100,7 +100,7 @@ def scalar_ground(x, y, q):
 
 
 #: Sizes on both sides of HYPOT_PORT_FROM real entries, where q = 2 grounds
-#: move from the object array of math.hypot to its numpy port, and of
+#: move from math.hypot mapped over the lanes to its numpy port, and of
 #: BLOCKWISE_POWER_FROM, where the cost's p-th power is taken block by block.
 ACROSS_THE_PORT = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (7, 3), (12, 9), (19, 21), (25, 25),
                    (30, 28), (40, 35), (60, 57)]
