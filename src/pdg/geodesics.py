@@ -2,7 +2,10 @@
 
 A sampled curve is a time grid on [0, 1] with one diagram per time.  A curve
 is certified as a geodesic when every sampled pair of frames sits at distance
-|t - s| times the endpoint distance.  Certified curves are then compared
+|t - s| times the endpoint distance: certify_geodesic checks all G(G-1)/2
+pairs, and classification first tries the triangle squeeze, which bounds
+every pair's violation from the G - 1 consecutive distances and the endpoint
+distance and falls back to the full scan.  Certified curves are then compared
 against every straight-line interpolation of an optimal endpoint matching;
 curves that pointwise match none of them are classified as deviant.  All
 frame comparisons go through the diagram distance itself, never through set
@@ -200,7 +203,13 @@ def sample_gallery(name: str, grid: int = DEFAULT_GRID, **params) -> SampledCurv
 
 @dataclass(frozen=True)
 class GeodesicCertificate:
-    """Outcome of checking the constant-speed identity on all sampled pairs."""
+    """Outcome of checking the constant-speed identity on all sampled pairs.
+
+    From certify_geodesic, max_violation is the exact largest violation and
+    witness the first pair attaining it.  classify_curve may instead carry a
+    passing certificate from the triangle squeeze: there max_violation is an
+    upper bound from G distance calls and witness is None.
+    """
 
     ok: bool
     endpoint_distance: float
@@ -239,6 +248,51 @@ def certify_geodesic(curve: SampledCurve, params: MetricParams) -> GeodesicCerti
                 witness = (curve.times[a], curve.times[b], measured, expected)
     ok = worst <= params.tol * max(1.0, endpoint)
     return GeodesicCertificate(ok, endpoint, worst, witness)
+
+
+def _squeeze(curve: SampledCurve, params: MetricParams) -> GeodesicCertificate | None:
+    """A passing certificate from G distance calls, or None when it cannot tell.
+
+    With D the endpoint distance, P_i the prefix sums of the consecutive
+    frame distances and e_ab = (t_b - t_a) D, the triangle inequality bounds
+    every sampled pair's violation by max(P_b - P_a - e_ab, e_ab - D + P_a +
+    P_end - P_b).  Put u_i = P_i - t_i D: the first term is u_b - u_a and the
+    second u_a - u_b + P_end - D, so the largest V over all pairs a < b
+    takes one pass with the running extremes of u.  A bound within tol
+    passes with max_violation = V plus the rounding allowance below and no
+    witness; anything else is left to certify_geodesic's exact scan.
+    """
+    frames = curve.frames
+    times = curve.times
+    endpoint, _ = distance(frames[0], frames[-1], params)
+    total = 0.0
+    lowest = highest = 0.0  # u_0
+    rise = fall = -math.inf  # the largest u_b - u_a and u_a - u_b over a < b
+    for t, a, b in zip(times[1:], frames, frames[1:]):
+        step, _ = distance(a, b, params)
+        total += step
+        here = total - t * endpoint
+        rise = max(rise, here - lowest)
+        fall = max(fall, highest - here)
+        lowest = min(lowest, here)
+        highest = max(highest, here)
+    # The allowance, in units u = 2**-53 of M = max(D, P_end).  Assume each
+    # computed distance is within 16u (8 ulps) relative of the exact distance
+    # of its two frames, which satisfies the triangle inequality.  Carrying
+    # that through both inequalities moves a pair's measured distance by at
+    # most 3 * 16u M beyond the exact-arithmetic V of the computed inputs.
+    # certify's expected value (t_b - t_a) * D rounds twice and its
+    # |measured - expected| once more: another 4u M.  Here, the prefix sums
+    # round G - 2 times, t_i D and u_i once each, and each difference and
+    # the final P_end - D shift once: V is within (3G + 8)u M of its
+    # exact-arithmetic value.  The 1% these bounds drop in their second-order
+    # terms is covered by rounding 48 + 4 + 8 up to 64.  An overflowed sum
+    # makes the allowance inf (or V nan), and the comparison refuses it.
+    allowance = (3 * len(times) + 64) * 2.0**-53 * max(endpoint, total)
+    bound = max(rise, fall + (total - endpoint)) + allowance
+    if bound <= params.tol * max(1.0, endpoint):
+        return GeodesicCertificate(True, endpoint, bound, None)
+    return None
 
 
 def regime(p: float, q: float) -> str:
@@ -287,6 +341,10 @@ class CurveClassification:
 def classify_curve(curve: SampledCurve, params: MetricParams) -> CurveClassification:
     """Certify the curve, then compare it with every optimal interpolation.
 
+    The certificate comes from the triangle squeeze's G distance calls where
+    that bound is within tol: its max_violation is then an upper bound on the
+    exact one and its witness is None.  Elsewhere it is certify_geodesic's
+    exact scan, so a not-geodesic curve reports the exact first witness.
     A certified curve is convex-combination when some optimal endpoint
     matching interpolates to within tol of every sampled frame, and deviant
     otherwise; the deviant witness reports the best matching's worst frame.
@@ -294,7 +352,7 @@ def classify_curve(curve: SampledCurve, params: MetricParams) -> CurveClassifica
     x = curve.frames[0]
     y = curve.frames[-1]
     tag = regime(params.p, params.q)
-    certificate = certify_geodesic(curve, params)
+    certificate = _squeeze(curve, params) or certify_geodesic(curve, params)
     if not certificate.ok:
         return CurveClassification("not-geodesic", tag, certificate)
     best_residual = None

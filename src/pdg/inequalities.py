@@ -174,10 +174,14 @@ def largest_empirical_defect_constant(t: float, p: float, rng: np.random.Generat
     # then b for each pair in turn
     pairs = rng.uniform(-1.0, 1.0, size=(200, 2, 8))
     a, b = pairs[:, 0], pairs[:, 1]
-    gaps, lefts, rights, mixes = (
-        [_fsum_pow(row, p) for row in np.abs(rows).tolist()]
-        for rows in (a - b, a, b, t * a + (1.0 - t) * b)
-    )
+
+    def row_sums(rows):
+        # one pow over the family's 1,600 magnitudes, then one fsum per row
+        # of 8: the same powers summed as _fsum_pow sums them row by row
+        powers = list(map(pow, np.abs(rows).ravel().tolist(), repeat(p)))
+        return [math.fsum(powers[k:k + 8]) for k in range(0, len(powers), 8)]
+
+    gaps, lefts, rights, mixes = map(row_sums, (a - b, a, b, t * a + (1.0 - t) * b))
     best = math.inf
     for gap, left, right, mix in zip(gaps, lefts, rights, mixes):
         denom = t * (1.0 - t) * gap

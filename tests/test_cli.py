@@ -495,7 +495,7 @@ def test_cli_grid_output_is_pinned(tmp_path, diagram_files, capsys):
         code = main(argv)
         out, err = capsys.readouterr()
         digest.update(f"{argv[0]}\n{out}stderr {err}exit {code}\n".encode("utf-8"))
-    assert digest.hexdigest() == "100cd2277d069d04ed5345bf6d1890fc23152a6b0391c0365d73895389a28357"
+    assert digest.hexdigest() == "d9b5b1fb3374f81af8898b5ac6435667814d52f21429e8055f3758ce806cafdc"
 
 
 def test_the_cached_parser_answers_like_a_fresh_one(tmp_path, diagram_files, monkeypatch, capsys):

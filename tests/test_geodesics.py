@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import pdg.geodesics
 from pdg import (
     Diagram,
     MetricParams,
     ParameterDomainError,
     ParseError,
     SampledCurve,
+    SizeGuardError,
     StructuralError,
     ValidationError,
     certify_geodesic,
@@ -24,7 +26,8 @@ from pdg import (
     sample_gallery,
     uniform_grid,
 )
-from pdg.instances import four_point_pair, random_pair
+from pdg.geodesics import _squeeze
+from pdg.instances import GRID_P, GRID_Q, four_point_pair, random_diagram, random_pair
 
 
 def geometry(diagram):
@@ -161,6 +164,97 @@ def test_classify_deviant_gallery():
     assert outcome.kind == "deviant"
     assert outcome.residual > 0.1
     assert 0.0 < outcome.witness_time < 1.0
+
+
+GALLERY_KWARGS = {
+    "mu_infty": {"k": 10.0, "j": 3.0},
+    "nu_infty": {"k": 10.0, "l": 1.0},
+    "omega_infty": {"k": 10.0, "j": 3.0},
+    "mu_one": {"k": 10.0},
+    "nu_r_one": {"k": 10.0, "r": 0.5},
+}
+CELLS = [MetricParams(p, q) for p in GRID_P for q in GRID_Q]
+
+
+def _squeeze_corpus():
+    """(curve, params, geodesic) triples: seeded convex combinations, the same
+    with one interior frame moved by 1e-6, and the gallery curves, each also
+    reversed; geodesic is None where the test does not know the answer."""
+    rng = np.random.default_rng(2301)
+    corpus = []
+    for grid in (3, 9, 33):
+        for params in CELLS:
+            x = random_diagram(rng, int(rng.integers(1, 8)))
+            y = random_diagram(rng, int(rng.integers(1, 8)))
+            _, witness = distance(x, y, params)
+            curve = sample_convex_combination(x, y, witness, grid)
+            frames = list(curve.frames)
+            frames[grid // 2] = Diagram.from_pairs(
+                [(b, d + 1e-6) for b, d in frames[grid // 2].geometry().tolist()])
+            corpus += [(curve, params, True), (SampledCurve(curve.times, tuple(frames)), params, False)]
+    for name, kwargs in GALLERY_KWARGS.items():
+        for grid in (3, 5, 9, 17, 33, 65):
+            curve = sample_gallery(name, grid, **kwargs)
+            corpus += [(curve, params, None) for params in CELLS]
+    return corpus + [(curve.reversed(), params, geodesic) for curve, params, geodesic in corpus]
+
+
+def test_the_squeeze_passes_only_where_the_exact_scan_does(monkeypatch):
+    def outcome(curve, params):
+        try:
+            found = classify_curve(curve, params)
+        except SizeGuardError as exc:  # the factorial enumeration's guard, past 9 points
+            return str(exc)
+        return found.kind, found.matching, found.witness_time, found.residual
+
+    passed = 0
+    for curve, params, geodesic in _squeeze_corpus():
+        bound = _squeeze(curve, params)
+        # a convex combination passes (its violations are rounding) and a
+        # moved frame is refused; where the squeeze refuses, classify_curve
+        # runs certify_geodesic itself, the code the patched call below runs
+        assert geodesic is None or (bound is not None) == geodesic, (curve.times, params)
+        if bound is None:
+            continue
+        passed += 1
+        exact = certify_geodesic(curve, params)
+        assert exact.ok and bound.witness is None
+        assert bound.endpoint_distance == exact.endpoint_distance
+        assert exact.max_violation <= bound.max_violation, (curve.times, params)
+        fast = outcome(curve, params)
+        # the squeeze patched out, classify reads the exact certificate above
+        with monkeypatch.context() as patched:
+            patched.setattr(pdg.geodesics, "_squeeze", lambda curve, params: None)
+            patched.setattr(pdg.geodesics, "certify_geodesic", lambda curve, params: exact)
+            assert outcome(curve, params) == fast
+    assert passed >= 200
+
+
+def test_certify_squeeze_and_classify_distance_calls(monkeypatch):
+    calls = []
+    real = pdg.geodesics.distance
+    monkeypatch.setattr(pdg.geodesics, "distance", lambda *args: calls.append(1) or real(*args))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    params = MetricParams(2.0, 2.0)
+    x, y = four_point_pair()
+    for grid in (2, 3, 9, 33):
+        curve = sample_convex_combination(x, y, distance(x, y, params)[1], grid)
+        assert count(certify_geodesic, curve, params) == grid * (grid - 1) // 2 + 1
+        assert count(_squeeze, curve, params) == grid
+    # a non-geodesic: the squeeze refuses, the exact scan runs, and classify
+    # returns its not-geodesic verdict before it enumerates any matching
+    def enumerate_nothing(*args):
+        raise AssertionError("classify enumerated matchings for a non-geodesic")
+
+    monkeypatch.setattr(pdg.geodesics, "enumerate_optimal_matchings", enumerate_nothing)
+    curve = sample_gallery("omega_infty", 17, k=10.0, j=3.0)
+    assert count(classify_curve, curve, params) == 17 + 17 * 16 // 2 + 1
+    assert classify_curve(curve, params).kind == "not-geodesic"
 
 
 def test_regime_tags():
