@@ -196,7 +196,8 @@ class Diagram:
     @classmethod
     def _checked(cls, coords: np.ndarray, indices: tuple[int, ...]) -> "Diagram":
         """A diagram over coordinates and indices checked in bulk, raising
-        what Diagram(points) raises for the first invalid row."""
+        what Diagram(points) raises for the first invalid row; scaled and
+        shifted silence numpy's warnings where a row leaves the float range."""
         bad = _first_invalid(coords)
         if bad < len(coords):
             _check_point(*coords[bad].tolist())  # raises: the row failed the bulk check
@@ -204,11 +205,13 @@ class Diagram:
         return cls._trusted(coords, indices)
 
     def scaled(self, c: float) -> "Diagram":
-        return Diagram._checked(self._coords * c, self._indices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Diagram._checked(self._coords * c, self._indices)
 
     def shifted(self, a: float) -> "Diagram":
         """Translate along the diagonal direction (a, a)."""
-        return Diagram._checked(self._coords + a, self._indices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Diagram._checked(self._coords + a, self._indices)
 
 
 @dataclass(frozen=True)
@@ -220,9 +223,10 @@ class MetricParams:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        q = float(self.q)
-        tol = float(self.tol)
+        try:
+            p, q, tol = float(self.p), float(self.q), float(self.tol)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterDomainError(f"p, q and tol must be real numbers: {exc}") from exc
         if math.isnan(p) or p < 1.0:
             raise ParameterDomainError(f"p must lie in [1, inf], got {self.p}")
         if p != math.inf and p > MAX_FINITE_P:

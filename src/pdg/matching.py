@@ -129,25 +129,14 @@ def _lanes(norm, a: np.ndarray, *rest) -> np.ndarray:
     return np.fromiter(map(norm, xs, ys, *rest), float, len(xs)).reshape(a.shape[:-1])
 
 
-def _hypot(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    """math.hypot elementwise.  np.hypot is not used on purpose: it differs
-    from math.hypot in the last bit on some entries, and a ground entry must
-    equal the scalar norm bitwise, so that a witness reprices to its value
-    exactly and a bottleneck value is found among the entries of an
-    independently built matrix.  From HYPOT_PORT_FROM entries on, q = 2 runs
-    through _hypot_port instead, which gives the same bits."""
-    return _lanes(math.hypot, np.stack((ax, ay), axis=-1))
-
-
 #: q = 2 grounds go through _hypot_port from this many entries, and through
-#: math.hypot lane by lane below it.  The port's fixed cost is some 60 numpy
-#: calls (0.05-0.07 ms).  On random blocks (coordinates uniform in [-5, 5]),
-#: best of 15 on a shared 2-core host, the lanes took 1.6 us at 1 entry
-#: against the port's 46, 41 against 53 at 484 and 61 against 80 at 625, and
-#: the port won from 900 entries on (74 against 83), so the two cross between
-#: 625 and 900 entries.  The bound stays at 500 until a build-level
-#: measurement moves it.
-HYPOT_PORT_FROM = 500
+#: math.hypot lane by lane below it.  On the real block alone (births in
+#: [-5, 5], persistences in [0.1, 4]; median of 7 rounds of best of 200 on a
+#: shared 2-core host) the lanes took 66 us at 400 entries against the port's
+#: 103, 122 against 123 at 784, 132 against 132 at 841 and 141 against 124 at
+#: 900; a whole p = q = 2 distance took 233 against 263 us at 25 per side and
+#: 321 against 322 at 30.
+HYPOT_PORT_FROM = 800
 
 #: At finite p, from this many real entries on, the cost is raised to the
 #: p-th power block by block, on the nx * ny + nx + ny distinct entries
@@ -219,16 +208,19 @@ def _hypot_port(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
         out = np.ldexp(h, e)
         special = np.isnan(out) | (e < -1021)
         if special.any():
-            out[special] = _hypot(ax[special], ay[special])
+            out[special] = _lanes(math.hypot, np.stack((ax[special], ay[special]), axis=-1))
     return out
 
 
 def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     """Elementwise l^q norms of the differences of the (broadcast) coordinate
-    rows xs - ys, each bitwise what _qnorm gives.  Near +-1e308 a difference
-    overflows, and its norm is +inf at every q; the callers price it, and run
-    this and _diagonal_grounds under one np.errstate that silences numpy's
-    overflow warnings."""
+    rows xs - ys, each bitwise what _qnorm gives.  np.hypot is not used: it
+    differs from math.hypot in the last bit on some entries, and a witness
+    must reprice to its value exactly and a bottleneck value be an entry of
+    an independently built matrix.  Near +-1e308 a difference overflows, and
+    its norm is +inf at every q; the callers price it, and run this and
+    _diagonal_grounds under one np.errstate that silences numpy's overflow
+    warnings."""
     a = np.abs(xs - ys)
     ax = a[..., 0]
     ay = a[..., 1]
@@ -544,14 +536,17 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> np.ndarray:
     """Every permutation of range(n), one per row of an (n!, n) array."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    rows = math.factorial(n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(flat, np.int64, rows * n).reshape(rows, n)
 
 
 def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
-             what: str) -> tuple[AugmentedProblem, np.ndarray, np.ndarray]:
-    """The factorial oracle: the problem, all n! slot permutations and the
-    solver objective of each (the sum of its cost entries for finite p, their
-    maximum for p = inf).  what names the caller in the size guard's message.
+             what: str) -> tuple[AugmentedProblem, np.ndarray, np.ndarray, Matching]:
+    """The factorial oracle: the problem, all n! slot permutations, the solver
+    objective of each (the sum of its cost entries for finite p, their maximum
+    for p = inf) and the matching of the first permutation that minimizes it.
+    what names the caller in the size guard's message.
     """
     n = len(x) + len(y)
     if n > FACTORIAL_GUARD:
@@ -562,29 +557,30 @@ def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
     prob = build_augmented_problem(x, y, params)
     perms = _all_permutations(n)
     selected = prob.cost[np.arange(n), perms]
-    if params.p == math.inf:
-        return prob, perms, selected.max(axis=1, initial=0.0)
-    return prob, perms, selected.sum(axis=1)
+    objective = selected.max(axis=1, initial=0.0) if params.p == math.inf else selected.sum(axis=1)
+    return prob, perms, objective, _solved(prob, perms[int(np.argmin(objective))])
 
 
 def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
     """Ground-truth distance by exhausting every slot permutation."""
-    prob, perms, objective = _exhaust(x, y, params, "brute_force_distance")
-    return _solved(prob, perms[int(np.argmin(objective))]).total
+    return _exhaust(x, y, params, "brute_force_distance")[3].total
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
     """All optimal matchings up to params.tol, deduplicated by geometric action.
 
-    Permutations that differ only in how interchangeable diagonal copies are
-    shuffled among themselves describe the same geometric transport and are
-    reported once.
+    A permutation is kept where its objective is within the optimum's total
+    plus tol, taken into the objective's units.  Permutations that differ
+    only in how interchangeable diagonal copies are shuffled among
+    themselves describe the same geometric transport and are reported once.
     """
-    prob, perms, values = _exhaust(x, y, params, "enumerate_optimal_matchings")
+    prob, perms, objective, best = _exhaust(x, y, params, "enumerate_optimal_matchings")
+    cutoff = best.total + params.tol
     if params.p != math.inf:
-        values = prob.scale * values ** (1.0 / params.p)
-    cutoff = float(values.min()) + params.tol
-    rows = np.flatnonzero(values <= cutoff)
+        # a finite objective sums n costs of at most 1: capping the share
+        # of scale at n keeps every one of them, and the power finite
+        cutoff = min(cutoff / prob.scale, prob.n) ** params.p
+    rows = np.flatnonzero(objective <= cutoff)
     # a geometric action: 1 + the Y point each X point goes to, or 0 for the
     # diagonal, read as the digits of one integer (under 10**9 within the guard)
     actions = perms[rows, :len(x)] + 1

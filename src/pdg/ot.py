@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagram import DEFAULT_TOL, Diagram, MetricParams
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
-from .matching import AugmentedProblem, Matching, _aggregate, _check_assignment, _exhaust, _solved, distance
+from .matching import AugmentedProblem, Matching, _aggregate, _check_assignment, _exhaust, distance
 
 MARGINAL_TOL = 1e-12
 
@@ -102,9 +102,8 @@ def verify_ot_equivalence(x: Diagram, y: Diagram, p: float) -> OtReport:
     the exhaustive permutation minimum is the true infimum over all plans.
     """
     params = MetricParams(p, 2.0)
-    prob, perms, objective = _exhaust(x, y, params, "verify_ot_equivalence")
+    prob, _, _, best = _exhaust(x, y, params, "verify_ot_equivalence")
     assignment_value, _ = distance(x, y, params)
-    best = _solved(prob, perms[int(np.argmin(objective))])
     coupling_min = transport_cost(prob, coupling_from_matching(best))
     return OtReport(assignment_value, coupling_min, abs(assignment_value - coupling_min) <= DEFAULT_TOL)
 

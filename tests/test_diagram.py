@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ def test_metric_params_domain():
         MetricParams(2.0, 2.0, tol=0.0)
 
 
+def test_metric_params_refuses_non_numbers_as_a_domain_error():
+    # float() would raise a bare ValueError, TypeError or OverflowError here,
+    # none of them a PdgError; parse_extended maps the same text alike
+    for args in (("x", 2), (2, "x"), (2, 2, "x"), (None, 2), (2, [2]), (10 ** 400, 2)):
+        with pytest.raises(ParameterDomainError, match=r"^p, q and tol must be real numbers: "):
+            MetricParams(*args)
+
+
 def test_parse_rejects_malformed_documents():
     with pytest.raises(ParseError):
         parse_diagram("{")
@@ -244,6 +253,24 @@ def test_scaled_and_shifted():
     ):
         with pytest.raises(ValidationError, match=message):
             bad()
+
+
+def test_scaled_and_shifted_refuse_a_row_beyond_the_float_range_quietly():
+    # the product or sum overflows (or is inf * 0) in numpy before the bulk
+    # check refuses the row: the first bad row's ValidationError, no warning
+    d = Diagram.from_pairs([(0.0, 1.0), (1e308, 1.5e308)])
+    for bad, message in (
+        (lambda: d.scaled(10.0), r"^point \(inf, inf\) has non-finite coordinates$"),
+        (lambda: Diagram.from_pairs([(0.0, 1.0)]).scaled(math.inf),
+         r"^point \(nan, inf\) has non-finite coordinates$"),
+        (lambda: d.shifted(1e308), r"^point \(1e\+308, 1e\+308\) is not strictly above the diagonal$"),
+        (lambda: Diagram.from_pairs([(0.0, 1e300), (1e308, 1.5e308)]).shifted(1e308),
+         r"^point \(inf, inf\) has non-finite coordinates$"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                bad()
 
 
 def test_multiset_key_ignores_order_and_indices():

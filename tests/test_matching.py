@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import warnings
 
@@ -40,8 +41,8 @@ from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_p
 from pdg.matching import (
     BLOCKWISE_POWER_FROM,
     HYPOT_PORT_FROM,
+    _all_permutations,
     _copy_rule,
-    _hypot,
     _hypot_port,
     _reduced_partners,
     _solved,
@@ -111,7 +112,7 @@ def sized_pairs(seed):
     above the cut-over, whose +inf q = 2 grounds take the port's fallback."""
     rng = np.random.default_rng(seed)
     for cut in (HYPOT_PORT_FROM, BLOCKWISE_POWER_FROM):
-        assert min(nx * ny for nx, ny in ACROSS_THE_PORT) < cut <= 25 * 25
+        assert min(nx * ny for nx, ny in ACROSS_THE_PORT) < cut <= 30 * 28
     return [random_sized_pair(rng, nx, ny) for nx, ny in ACROSS_THE_PORT] + [far_apart_pair(rng, 30, 28)]
 
 
@@ -170,7 +171,7 @@ def test_the_hypot_port_is_math_hypot_bitwise():
         a[:, :64] = -0.0
         a[0, 64:128] = -0.0
         assert a.shape[1] >= 10 ** 6
-        expected = _hypot(a[0], a[1]).astype(float)
+        expected = np.fromiter(map(math.hypot, *a.tolist()), float, a.shape[1])
     mismatched = np.flatnonzero(_hypot_port(a[0], a[1]).view(np.int64) != expected.view(np.int64))
     assert mismatched.size == 0, a[:, mismatched[:5]].T.tolist()
 
@@ -602,6 +603,51 @@ def test_exhaustive_oracles_match_independent_scans():
             if prob.n:
                 plan = random_doubly_stochastic(rng, prob.n)
                 assert transport_cost(prob, plan) == reference_transport_cost(prob, plan.matrix, p)
+
+
+def test_permutation_table_is_the_reference():
+    for n in range(9):
+        table = _all_permutations(n)
+        expected = reference_permutations(n)
+        assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+        assert np.array_equal(table, expected)
+
+
+def test_exhaustive_oracles_stay_quiet_near_the_float_range(tmp_path, capsys):
+    # every permutation that sends a point to the diagonal costs about the
+    # float range, and an l^p total of its objective would overflow: the
+    # optimum is taken once, and the cutoff is compared in objective units
+    rows = [(-8.5e307, 8.5e307)] * 2
+    x, y = Diagram.from_pairs(rows), Diagram.from_pairs(rows)
+    for p in GRID_P:
+        for q in GRID_Q:
+            params = MetricParams(p, q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                found = enumerate_optimal_matchings(x, y, params)
+                assert brute_force_distance(x, y, params) == 0.0
+            assert [geometric_action(m, 2) for m in found] == [(0, 1), (1, 0)]
+            assert [m.total for m in found] == [0.0, 0.0]
+    frame = {"points": [list(row) for row in rows]}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"times": [0.0, 0.5, 1.0], "frames": [frame] * 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", str(path), "--p", "2", "--q", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["kind"] == "convex-combination"
+
+
+def test_a_tolerance_beyond_every_objective_keeps_every_finite_permutation():
+    # the cutoff in objective units is capped, so its p-th power stays finite
+    # however large tol is, and every action is optimal up to such a tol
+    x, y = random_sized_pair(np.random.default_rng(5), 2, 2)
+    for p, tol in ((64.0, 1e5), (2.0, 1e300), (1.0, 1e300), (math.inf, 1e300)):
+        params = MetricParams(p, 2.0, tol)
+        found = enumerate_optimal_matchings(x, y, params)
+        assert found == reference_optimal_matchings(x, y, params)
+        assert len(found) == 7  # the partial matchings of two points against two
 
 
 def test_bottleneck_witness_is_the_least_ground_sum_under_the_value():

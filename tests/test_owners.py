@@ -1,6 +1,8 @@
 """Rules the package writes once keep their one owner: JSON is decoded in
-diagram._load_json, stdout is written in cli._emit, and the diagonal factor
-2^(1/q - 1) is computed in diagram._diagonal_factor."""
+diagram._load_json, stdout is written in cli._emit, the diagonal factor
+2^(1/q - 1) is computed in diagram._diagonal_factor, the exhaustive optimum
+is picked in matching._exhaust, and the l^p root is taken in
+matching._aggregate."""
 
 import ast
 from pathlib import Path
@@ -20,6 +22,19 @@ def _is_diagonal_factor(node) -> bool:
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
             and isinstance(node.left, ast.Constant) and node.left.value == 2.0
             and any(isinstance(n, ast.Name) and n.id == "q" for n in ast.walk(node.right)))
+
+
+def _is_lp_root(node) -> bool:
+    """A power whose exponent is 1.0 / p or 1.0 / <x>.p."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        return False
+    exponent = node.right
+    if not (isinstance(exponent, ast.BinOp) and isinstance(exponent.op, ast.Div)
+            and isinstance(exponent.left, ast.Constant) and exponent.left.value == 1.0):
+        return False
+    divisor = exponent.right
+    return ((isinstance(divisor, ast.Name) and divisor.id == "p")
+            or (isinstance(divisor, ast.Attribute) and divisor.attr == "p"))
 
 
 def _places(matches) -> set[str]:
@@ -50,3 +65,11 @@ def test_stdout_is_written_in_one_place():
 
 def test_diagonal_factor_is_written_once():
     assert _places(_is_diagonal_factor) == {"diagram._diagonal_factor"}
+
+
+def test_the_exhaustive_optimum_is_picked_in_one_place():
+    assert _places(lambda node: _is_attribute(node, "np", "argmin")) == {"matching._exhaust"}
+
+
+def test_the_lp_root_is_taken_in_one_place():
+    assert _places(_is_lp_root) == {"matching._aggregate"}
