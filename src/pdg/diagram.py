@@ -195,9 +195,7 @@ class Diagram:
 
     @classmethod
     def _checked(cls, coords: np.ndarray, indices: tuple[int, ...]) -> "Diagram":
-        """A diagram over coordinates and indices checked in bulk, raising
-        what Diagram(points) raises for the first invalid row; scaled and
-        shifted silence numpy's warnings where a row leaves the float range."""
+        """A diagram of coordinates checked in bulk, raising as Diagram(points) does."""
         bad = _first_invalid(coords)
         if bad < len(coords):
             _check_point(*coords[bad].tolist())  # raises: the row failed the bulk check
@@ -205,6 +203,7 @@ class Diagram:
         return cls._trusted(coords, indices)
 
     def scaled(self, c: float) -> "Diagram":
+        # a row that leaves the float range gets its ValidationError, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             return Diagram._checked(self._coords * c, self._indices)
 

@@ -570,16 +570,18 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
     """All optimal matchings up to params.tol, deduplicated by geometric action.
 
     A permutation is kept where its objective is within the optimum's total
-    plus tol, taken into the objective's units.  Permutations that differ
-    only in how interchangeable diagonal copies are shuffled among
-    themselves describe the same geometric transport and are reported once.
+    plus tol, taken into the objective's units, or within the objective's own
+    rounding (p + 2n ulps) of its least value.  Permutations that differ only
+    in how diagonal copies are shuffled among themselves describe the same
+    geometric transport and are reported once.
     """
     prob, perms, objective, best = _exhaust(x, y, params, "enumerate_optimal_matchings")
     cutoff = best.total + params.tol
     if params.p != math.inf:
-        # a finite objective sums n costs of at most 1: capping the share
-        # of scale at n keeps every one of them, and the power finite
-        cutoff = min(cutoff / prob.scale, prob.n) ** params.p
+        # n costs of at most 1 a row: the cap at n keeps all rows and the power
+        # finite; where tol is below the rounding, the floor keeps the optimum
+        slack = 1.0 + (params.p + 2 * prob.n) * 2.0**-52
+        cutoff = max(min(cutoff / prob.scale, prob.n) ** params.p, float(objective.min()) * slack)
     rows = np.flatnonzero(objective <= cutoff)
     # a geometric action: 1 + the Y point each X point goes to, or 0 for the
     # diagonal, read as the digits of one integer (under 10**9 within the guard)

@@ -24,6 +24,7 @@ from pdg import (
     WrongSolverError,
     brute_force_distance,
     build_augmented_problem,
+    classify_curve,
     diagonal_distance,
     distance,
     enumerate_optimal_matchings,
@@ -31,6 +32,7 @@ from pdg import (
     matching_cost,
     matching_from_assignment,
     random_doubly_stochastic,
+    sample_convex_combination,
     solve_assignment_bottleneck,
     solve_assignment_sum,
     transport_cost,
@@ -637,6 +639,38 @@ def test_exhaustive_oracles_stay_quiet_near_the_float_range(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["kind"] == "convex-combination"
+
+
+def test_the_optimum_is_kept_where_tol_is_below_the_rounding_gap():
+    # at a scale of 5e7 the optimum sends both points to the diagonal with
+    # objective fl(0.2) + fl(0.4) = 0.6000000000000001 at q = inf, above
+    # fl(3e7 / 5e7) = 0.6: a cutoff taken from the total alone would drop it,
+    # and classify would call the straight curve along it deviant
+    x = Diagram.from_pairs([(0.0, 2e7)])
+    y = Diagram.from_pairs([(3e7, 7e7)])
+    for p in (1.0, 2.0):
+        params = MetricParams(p, math.inf)
+        found = enumerate_optimal_matchings(x, y, params)
+        assert found == reference_optimal_matchings(x, y, params)
+        assert [geometric_action(m, 1) for m in found] == [(-1,)]
+        curve = sample_convex_combination(x, y, found[0], 9)
+        assert classify_curve(curve, params).kind == "convex-combination"
+
+
+def test_exact_ties_are_kept_at_any_scale():
+    # integer coordinates times 2**24 give bitwise the same costs at q = 1
+    # and q = inf, where tol is far below the objective's rounding: the same
+    # permutations must be kept as at unit scale, the optimum's first
+    # shuffle of diagonal copies and every action tied with it
+    rng = np.random.default_rng(89)
+    for n in range(2, 8):
+        x, y = integer_pair(rng, n // 2, n - n // 2)
+        big = x.scaled(2.0**24), y.scaled(2.0**24)
+        for p in GRID_P:
+            for q in (1.0, math.inf):
+                params = MetricParams(p, q)
+                found = [m.assignment for m in enumerate_optimal_matchings(*big, params)]
+                assert found == [m.assignment for m in enumerate_optimal_matchings(x, y, params)]
 
 
 def test_a_tolerance_beyond_every_objective_keeps_every_finite_permutation():
