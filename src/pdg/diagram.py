@@ -8,6 +8,7 @@ package ignore indices; they are bookkeeping, not geometry.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -213,6 +214,14 @@ class Diagram:
             return Diagram._checked(self._coords + a, self._indices)
 
 
+def _checked_q(q) -> float:
+    """q as a float, refused unless it is a number in [1, inf]."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if float(q) >= 1.0:  # NaN fails it
+            return float(q)
+    raise ParameterDomainError(f"q must lie in [1, inf], got {q}")
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Aggregation exponent p, ground exponent q, and comparison tolerance."""
@@ -232,8 +241,7 @@ class MetricParams:
             raise ParameterDomainError(
                 f"finite p is capped at {MAX_FINITE_P:g} (got {p:g}); use p=inf for the bottleneck case"
             )
-        if math.isnan(q) or q < 1.0:
-            raise ParameterDomainError(f"q must lie in [1, inf], got {self.q}")
+        _checked_q(self.q)
         if not (tol > 0.0 and math.isfinite(tol)):
             raise ParameterDomainError(f"tol must be a positive finite real, got {self.tol}")
         object.__setattr__(self, "p", p)
@@ -259,8 +267,7 @@ def _qnorm(dx: float, dy: float, q: float) -> float:
 
 def ground_norm(v, q: float) -> float:
     """l^q norm of a 2-vector; q may be inf."""
-    if math.isnan(q) or q < 1.0:
-        raise ParameterDomainError(f"q must lie in [1, inf], got {q}")
+    q = _checked_q(q)
     x, y = float(v[0]), float(v[1])
     return _qnorm(x, y, q)
 
@@ -291,9 +298,7 @@ def diagonal_distance(point: Point, q: float) -> float:
     Equals c * persistence with c = _diagonal_factor(q); where the
     persistence overflows, c * death - c * birth.
     """
-    if math.isnan(q) or q < 1.0:
-        raise ParameterDomainError(f"q must lie in [1, inf], got {q}")
-    c = _diagonal_factor(q)
+    c = _diagonal_factor(_checked_q(q))
     value = c * (point.death - point.birth)
     return value if math.isfinite(value) else c * point.death - c * point.birth
 

@@ -534,59 +534,56 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
 
 
 @lru_cache(maxsize=None)
-def _all_permutations(n: int) -> np.ndarray:
-    """Every permutation of range(n), one per row of an (n!, n) array."""
-    rows = math.factorial(n)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    return np.fromiter(flat, np.int64, rows * n).reshape(rows, n)
+def _all_actions(nx: int, ny: int) -> np.ndarray:
+    """Each geometric action's first slot permutation in lexicographic order,
+    a row each in that order: X's points sent to the diagonal take the copy
+    columns ny, ny + 1, ... in turn, and the copy rows the rest ascending."""
+    n = nx + ny
+    rows = []
+    for action in itertools.product(range(ny + 1), repeat=nx):  # ny: the diagonal
+        copies = iter(range(ny, n))
+        head = [j if j < ny else next(copies) for j in action]
+        if len(set(head)) == nx:
+            rows.append(head + sorted(set(range(n)).difference(head)))
+    return np.array(rows, dtype=np.int64)
 
 
 def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
              what: str) -> tuple[AugmentedProblem, np.ndarray, np.ndarray, Matching]:
-    """The factorial oracle: the problem, all n! slot permutations, the solver
-    objective of each (the sum of its cost entries for finite p, their maximum
-    for p = inf) and the matching of the first permutation that minimizes it.
-    what names the caller in the size guard's message.
-    """
+    """The exhaustive oracle: the problem, one slot permutation per geometric
+    action (shuffling diagonal copies moves nothing), the solver objective of
+    each (the sum of its cost entries for finite p, their maximum for p = inf)
+    and the matching of the first that minimizes it.  what names the caller
+    in the size guard's message."""
     n = len(x) + len(y)
     if n > FACTORIAL_GUARD:
         raise SizeGuardError(
-            f"{what} enumerates all {n}! slot permutations and accepts at most "
-            f"{FACTORIAL_GUARD} combined points (got {n})"
+            f"{what} enumerates all {n}! slot permutations up to shuffles of the "
+            f"diagonal copies and accepts at most {FACTORIAL_GUARD} combined points (got {n})"
         )
     prob = build_augmented_problem(x, y, params)
-    perms = _all_permutations(n)
-    selected = prob.cost[np.arange(n), perms]
+    actions = _all_actions(len(x), len(y))
+    selected = prob.cost[np.arange(n), actions]
     objective = selected.max(axis=1, initial=0.0) if params.p == math.inf else selected.sum(axis=1)
-    return prob, perms, objective, _solved(prob, perms[int(np.argmin(objective))])
+    return prob, actions, objective, _solved(prob, actions[int(np.argmin(objective))])
 
 
 def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
-    """Ground-truth distance by exhausting every slot permutation."""
+    """Ground-truth distance by exhausting every geometric action."""
     return _exhaust(x, y, params, "brute_force_distance")[3].total
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
-    """All optimal matchings up to params.tol, deduplicated by geometric action.
-
-    A permutation is kept where its objective is within the optimum's total
-    plus tol, taken into the objective's units, or within the objective's own
-    rounding (p + 2n ulps) of its least value.  Permutations that differ only
-    in how diagonal copies are shuffled among themselves describe the same
-    geometric transport and are reported once.
-    """
-    prob, perms, objective, best = _exhaust(x, y, params, "enumerate_optimal_matchings")
+    """All optimal matchings up to params.tol, one per geometric action: each
+    its first slot permutation in lexicographic order, in that order.  An
+    action is kept where its objective is within the optimum's total plus tol,
+    taken into the objective's units, or within the objective's own rounding
+    (p + 2n ulps) of its least value."""
+    prob, actions, objective, best = _exhaust(x, y, params, "enumerate_optimal_matchings")
     cutoff = best.total + params.tol
     if params.p != math.inf:
         # n costs of at most 1 a row: the cap at n keeps all rows and the power
         # finite; where tol is below the rounding, the floor keeps the optimum
         slack = 1.0 + (params.p + 2 * prob.n) * 2.0**-52
         cutoff = max(min(cutoff / prob.scale, prob.n) ** params.p, float(objective.min()) * slack)
-    rows = np.flatnonzero(objective <= cutoff)
-    # a geometric action: 1 + the Y point each X point goes to, or 0 for the
-    # diagonal, read as the digits of one integer (under 10**9 within the guard)
-    actions = perms[rows, :len(x)] + 1
-    actions[actions > len(y)] = 0
-    keys = actions @ (len(y) + 1) ** np.arange(len(x))
-    _, first = np.unique(keys, return_index=True)
-    return [_solved(prob, perms[k]) for k in rows[np.sort(first)]]
+    return [_solved(prob, row) for row in actions[objective <= cutoff]]

@@ -97,9 +97,9 @@ class OtReport:
 def verify_ot_equivalence(x: Diagram, y: Diagram, p: float) -> OtReport:
     """Compare the assignment optimum with the infimum over permutation plans.
 
-    Extreme points of the doubly stochastic polytope are permutations and the
-    plan cost is monotone under convex combination at the p-th power level, so
-    the exhaustive permutation minimum is the true infimum over all plans.
+    Permutations are the doubly stochastic polytope's extreme points and the
+    p-th power cost is affine in the plan, so the least permutation plan, one
+    per geometric action from the exhaustive scan, is the infimum over all plans.
     """
     params = MetricParams(p, 2.0)
     prob, _, _, best = _exhaust(x, y, params, "verify_ot_equivalence")

@@ -44,9 +44,7 @@ SUITES = ("metric", "ot", "inequalities", "gallery", "all")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _check(name: str, params: str, measured, expected, passed: bool) -> dict:
@@ -419,10 +417,10 @@ def gallery_checks(grid: int = DEFAULT_GRID, seed: int = 0) -> list[dict]:
 
 def run_suite(name: str, seed: int = 0, *, trials: int = 50, draws: int = 1000,
               grid: int = DEFAULT_GRID) -> list[dict]:
-    # a suite run with no trials or draws would pass its checks vacuously
-    for flag, value in (("trials", trials), ("draws", draws)):
-        if value < 1:
-            raise ParameterDomainError(f"{flag} must be at least 1, got {value}")
+    # numpy refuses a negative seed without naming it; no trials or draws pass vacuously
+    for flag, value, least in (("seed", seed, 0), ("trials", trials, 1), ("draws", draws, 1)):
+        if value < least:
+            raise ParameterDomainError(f"{flag} must be at least {least}, got {value}")
     if name in ("gallery", "all"):
         # the gallery's p = 2 contrast reads the frame at t = 1/2
         if grid < 3 or grid % 2 == 0:

@@ -12,6 +12,7 @@ import pytest
 
 import pdg.cli
 import pdg.verification as verification
+from pdg import ParameterDomainError
 from pdg.cli import main
 from pdg.gallery import GALLERY_NAMES
 from pdg.geodesics import MAX_GRID, sample_gallery
@@ -252,6 +253,16 @@ def test_verify_rejects_empty_trials_or_draws(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 1" in captured.err
+
+
+def test_verify_rejects_a_negative_seed_by_name(capsys):
+    # numpy's generator would refuse it as a bare ValueError naming no flag
+    assert main(["verify", "metric", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be at least 0, got -1\n"
+    with pytest.raises(ParameterDomainError, match=r"^seed must be at least 0, got -1$"):
+        run_suite("metric", -1)
 
 
 @pytest.mark.parametrize("suite", ["gallery", "all"])

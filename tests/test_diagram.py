@@ -37,7 +37,8 @@ def test_ground_norm_examples():
     for q in (1.0, 1.5, 2.0, 3.0, 7.5, math.inf):
         assert ground_norm((math.inf, 1.0), q) == math.inf
         assert ground_norm((1.0, -math.inf), q) == math.inf
-    for q in (0.5, math.nan):
+    # a q that is not a number is outside the domain too, as in MetricParams
+    for q in (0.5, math.nan, "x", None, [2.0], 10 ** 400):
         with pytest.raises(ParameterDomainError, match="q must lie in \\[1, inf\\]"):
             ground_norm((3.0, 4.0), q)
         with pytest.raises(ParameterDomainError, match="q must lie in \\[1, inf\\]"):

@@ -198,6 +198,16 @@ def _empirical_defect_constant_loop(t, p, rng):
     return best
 
 
+class _Served:
+    """A generator stub whose uniform serves the doubles of values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(np.ravel(values).tolist())
+
+    def uniform(self, low, high, size):
+        return np.fromiter(self._values, float, int(np.prod(size))).reshape(size)
+
+
 @pytest.mark.parametrize("t, p", [(0.25, 2.0), (0.25, 3.0), (0.75, 2.5), (0.5, 4.0)])
 def test_batched_empirical_defect_constant_is_the_loop_bitwise(t, p):
     # the batched draw must read the same doubles and leave the generator
@@ -207,6 +217,16 @@ def test_batched_empirical_defect_constant_is_the_loop_bitwise(t, p):
         value = largest_empirical_defect_constant(t, p, batched)
         assert value.hex() == _empirical_defect_constant_loop(t, p, looped).hex(), seed
         assert batched.uniform() == looped.uniform(), seed
+    # pairs with b equal to a bound no constant and are skipped by both forms;
+    # where every pair is such, none is left and the constant is inf
+    pairs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, 2, 8))
+    pairs[::3, 1] = pairs[::3, 0]
+    value = largest_empirical_defect_constant(t, p, _Served(pairs))
+    assert math.isfinite(value)
+    assert value.hex() == _empirical_defect_constant_loop(t, p, _Served(pairs)).hex()
+    pairs[:, 1] = pairs[:, 0]
+    assert largest_empirical_defect_constant(t, p, _Served(pairs)) == math.inf
+    assert _empirical_defect_constant_loop(t, p, _Served(pairs)) == math.inf
 
 
 def test_grid_pair_reads_the_stream_of_two_grid_vector_draws():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_p
 from pdg.matching import (
     BLOCKWISE_POWER_FROM,
     HYPOT_PORT_FROM,
-    _all_permutations,
+    _all_actions,
     _copy_rule,
     _hypot_port,
     _reduced_partners,
@@ -607,12 +608,36 @@ def test_exhaustive_oracles_match_independent_scans():
                 assert transport_cost(prob, plan) == reference_transport_cost(prob, plan.matrix, p)
 
 
-def test_permutation_table_is_the_reference():
+def test_action_table_is_the_first_permutation_of_each_action():
+    # the geometric action of a slot permutation: where each point of X goes,
+    # a point of Y or the diagonal (-1)
     for n in range(9):
-        table = _all_permutations(n)
-        expected = reference_permutations(n)
-        assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
-        assert np.array_equal(table, expected)
+        perms = reference_permutations(n)
+        for nx in range(n + 1):
+            ny = n - nx
+            actions = np.where(perms[:, :nx] < ny, perms[:, :nx], -1)
+            _, first = np.unique(actions, axis=0, return_index=True)
+            expected = perms[np.sort(first)]
+            table = _all_actions(nx, ny)
+            assert (table.dtype, table.shape) == (expected.dtype, expected.shape), (nx, ny)
+            assert np.array_equal(table, expected), (nx, ny)
+
+
+def test_the_exhaustive_oracles_gather_under_a_mebibyte_at_nine_points():
+    # 501 geometric actions at 5 + 4 points, where a scan of all 9! slot
+    # permutations gathers 27.7 MiB a call
+    x, y = random_sized_pair(np.random.default_rng(7), 5, 4)
+    for p in (2.0, math.inf):
+        params = MetricParams(p, 2.0)
+        brute_force_distance(x, y, params)  # the table is built once and cached
+        for oracle in (brute_force_distance, enumerate_optimal_matchings):
+            tracemalloc.start()
+            try:
+                oracle(x, y, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (oracle.__name__, p, peak)
 
 
 def test_exhaustive_oracles_stay_quiet_near_the_float_range(tmp_path, capsys):
@@ -660,8 +685,8 @@ def test_the_optimum_is_kept_where_tol_is_below_the_rounding_gap():
 def test_exact_ties_are_kept_at_any_scale():
     # integer coordinates times 2**24 give bitwise the same costs at q = 1
     # and q = inf, where tol is far below the objective's rounding: the same
-    # permutations must be kept as at unit scale, the optimum's first
-    # shuffle of diagonal copies and every action tied with it
+    # permutations must be kept as at unit scale, the optimum's action and
+    # every action tied with it
     rng = np.random.default_rng(89)
     for n in range(2, 8):
         x, y = integer_pair(rng, n // 2, n - n // 2)

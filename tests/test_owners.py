@@ -2,7 +2,7 @@
 diagram._load_json, stdout is written in cli._emit, the diagonal factor
 2^(1/q - 1) is computed in diagram._diagonal_factor, the exhaustive optimum
 is picked in matching._exhaust, and the l^p root is taken in
-matching._aggregate."""
+matching._aggregate.  No enumeration of all n! slot permutations is left."""
 
 import ast
 from pathlib import Path
@@ -73,3 +73,15 @@ def test_the_exhaustive_optimum_is_picked_in_one_place():
 
 def test_the_lp_root_is_taken_in_one_place():
     assert _places(_is_lp_root) == {"matching._aggregate"}
+
+
+def _is_factorial_enumeration(node) -> bool:
+    """itertools.permutations or math.factorial, by attribute or imported by name."""
+    if isinstance(node, ast.alias):
+        return node.name in ("permutations", "factorial")
+    return _is_attribute(node, "itertools", "permutations") or _is_attribute(node, "math", "factorial")
+
+
+def test_no_slot_permutation_enumeration_is_left():
+    # the exhaustive oracles scan one row per geometric action
+    assert _places(_is_factorial_enumeration) == set()
