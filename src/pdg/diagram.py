@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, ParseError, ValidationError
+from .errors import ParameterDomainError, ParseError, StructuralError, ValidationError
 
 DEFAULT_TOL = 1e-9
 
@@ -28,9 +28,14 @@ MAX_FINITE_P = 64.0
 
 
 def parse_extended(text: str) -> float:
-    """Parse a float that may be the literal ``inf``."""
+    """Parse a float that may be the literal ``inf``; a finite literal beyond
+    the float range is refused, not read as inf."""
     try:
         value = float(text)
+        if math.isinf(value) and str(text).strip().lstrip("+-").lower() not in ("inf", "infinity"):
+            raise OverflowError
+    except OverflowError as exc:
+        raise ParameterDomainError(f"{text!r} exceeds the float range; write inf for an infinite exponent") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterDomainError(f"not a number: {text!r}") from exc
     if math.isnan(value):
@@ -266,9 +271,18 @@ def _qnorm(dx: float, dy: float, q: float) -> float:
 
 
 def ground_norm(v, q: float) -> float:
-    """l^q norm of a 2-vector; q may be inf."""
+    """l^q norm of a 2-vector of real numbers, inf where an entry is; q may
+    be inf."""
     q = _checked_q(q)
-    x, y = float(v[0]), float(v[1])
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"ground vector entries must be real numbers: {exc}") from exc
+    if arr.shape != (2,):
+        raise StructuralError(f"a ground vector must have exactly 2 entries, not shape {arr.shape}")
+    x, y = arr.tolist()
+    if math.isnan(x) or math.isnan(y):
+        raise ValidationError(f"ground vector ({x}, {y}) has a nan entry")
     return _qnorm(x, y, q)
 
 

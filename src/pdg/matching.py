@@ -29,10 +29,11 @@ the close partners' costs together; its result is then refused and the
 square matrix solved instead.  The reduced solve is not the faster one at
 every size and (p, q) (CHANGES.md gives the timings): the subtracted diagonal
 costs make the tall points attractive to every row, which likely lengthens
-the solver's augmenting paths.  Either way the witness follows one canonical
-rule for the interchangeable diagonal copies: a point sent to the diagonal
-takes its own copy, and so does an unmatched point on the other side, and
-the copies of a real pair's two points pair with each other.
+the solver's augmenting paths.  Every matching built from an action (the
+witness, each enumerated optimum and the exhaustive one) places the
+interchangeable diagonal copies by _copy_rule: a point sent to the diagonal
+takes its own copy, so does an unmatched point on the other side, and the
+copies of a real pair's two points pair with each other.
 
 For p = inf the solver minimizes the largest selected entry: the optimum is
 the smallest entry whose threshold graph has a perfect matching, so the
@@ -384,7 +385,7 @@ def _copy_rule(partner: list[int], nx: int, ny: int) -> list[int]:
     (x_i -> ny + i), an unmatched point of Y takes its own copy
     (nx + j -> j), and the copies of a real pair's partners pair with each
     other (nx + j -> ny + i).  Every copy of one point costs the same, so
-    the rule keeps any assignment's value."""
+    the rule keeps any assignment's value; it is closed under inversion."""
     assignment = [*range(ny, nx + ny), *range(ny)]
     for i, j in enumerate(partner):
         if j < ny:
@@ -535,26 +536,21 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
 
 @lru_cache(maxsize=None)
 def _all_actions(nx: int, ny: int) -> np.ndarray:
-    """Each geometric action's first slot permutation in lexicographic order,
-    a row each in that order: X's points sent to the diagonal take the copy
-    columns ny, ny + 1, ... in turn, and the copy rows the rest ascending."""
-    n = nx + ny
-    rows = []
-    for action in itertools.product(range(ny + 1), repeat=nx):  # ny: the diagonal
-        copies = iter(range(ny, n))
-        head = [j if j < ny else next(copies) for j in action]
-        if len(set(head)) == nx:
-            rows.append(head + sorted(set(range(n)).difference(head)))
-    return np.array(rows, dtype=np.int64)
+    """One row per geometric action, in lexicographic order of the actions
+    (the diagonal last): its slot permutation by _copy_rule.  An action whose
+    real targets repeat has no row."""
+    actions = itertools.product(range(ny + 1), repeat=nx)  # ny: the diagonal
+    return np.array([_copy_rule(action, nx, ny) for action in actions
+                     if len(set(action) - {ny}) == nx - action.count(ny)], dtype=np.int64)
 
 
 def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
              what: str) -> tuple[AugmentedProblem, np.ndarray, np.ndarray, Matching]:
-    """The exhaustive oracle: the problem, one slot permutation per geometric
-    action (shuffling diagonal copies moves nothing), the solver objective of
-    each (the sum of its cost entries for finite p, their maximum for p = inf)
-    and the matching of the first that minimizes it.  what names the caller
-    in the size guard's message."""
+    """The exhaustive oracle: the problem, each geometric action's _copy_rule
+    slot permutation (shuffling diagonal copies moves nothing), the solver
+    objective of each (the sum of its cost entries for finite p, their
+    maximum for p = inf) and the matching of the first that minimizes it.
+    what names the caller in the size guard's message."""
     n = len(x) + len(y)
     if n > FACTORIAL_GUARD:
         raise SizeGuardError(
@@ -574,8 +570,8 @@ def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
 
 
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
-    """All optimal matchings up to params.tol, one per geometric action: each
-    its first slot permutation in lexicographic order, in that order.  An
+    """All optimal matchings up to params.tol, one per geometric action in
+    lexicographic order, each its action's slot permutation by _copy_rule.  An
     action is kept where its objective is within the optimum's total plus tol,
     taken into the objective's units, or within the objective's own rounding
     (p + 2n ulps) of its least value."""

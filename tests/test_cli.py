@@ -53,26 +53,34 @@ def test_dist_inf_and_csv(diagram_files, capsys):
     assert float(row["value"]) == 1.0
 
 
-def test_geodesic_then_certify_and_classify(diagram_files, tmp_path, capsys):
-    x, y = diagram_files
-    out_path = tmp_path / "curve.json"
-    code = main(["geodesic", x, y, "--p", "2", "--q", "2", "--grid", "9", "--out", str(out_path)])
-    assert code == 0
-    payload = json.loads(out_path.read_text())
-    curve_path = tmp_path / "bare_curve.json"
-    curve_path.write_text(json.dumps(payload["curve"]))
+def test_geodesic_then_certify_and_classify(tmp_path, capsys):
+    # classify reports the optimal matching the curve was sampled along in
+    # the witness's own slots: on the second pair the witness [0, 3, 2, 1]
+    # sends x_1 to the diagonal, and its copies follow the one copy rule
+    pairs = [(X_TEXT, Y_TEXT), ('{"points": [[0, 10], [1, 1.5]]}', '{"points": [[1, 11], [3, 3.2]]}')]
+    for x_text, y_text in pairs:
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        x.write_text(x_text)
+        y.write_text(y_text)
+        out_path = tmp_path / "curve.json"
+        code = main(["geodesic", str(x), str(y), "--p", "2", "--q", "2", "--grid", "9", "--out", str(out_path)])
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        curve_path = tmp_path / "bare_curve.json"
+        curve_path.write_text(json.dumps(payload["curve"]))
 
-    code = main(["certify", str(curve_path), "--p", "2", "--q", "2"])
-    assert code == 0
-    cert = json.loads(capsys.readouterr().out)
-    assert cert["ok"] is True
-    assert cert["max_violation"] <= 1e-9
+        code = main(["certify", str(curve_path), "--p", "2", "--q", "2"])
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["ok"] is True
+        assert cert["max_violation"] <= 1e-9
 
-    code = main(["classify", str(curve_path), "--p", "2", "--q", "2"])
-    assert code == 0
-    outcome = json.loads(capsys.readouterr().out)
-    assert outcome["kind"] == "convex-combination"
-    assert outcome["regime"] == "characterized"
+        code = main(["classify", str(curve_path), "--p", "2", "--q", "2"])
+        assert code == 0
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["kind"] == "convex-combination"
+        assert outcome["regime"] == "characterized"
+        assert outcome["matching"] == [list(pair) for pair in enumerate(payload["assignment"])]
 
 
 def test_gallery_output_shape(capsys):
@@ -146,9 +154,12 @@ GUARD_CURVE = json.dumps({  # 10 combined points, one more than the exhaustive g
     ("dist", DEEP_POINTS.encode(), [], 2),
     ("dist", b'{"points": [[0, 1]], "note": "\xff"}', [], 2),
     ("dist", X_TEXT.encode(), ["--p", "0.5"], 2),
+    ("dist", X_TEXT.encode(), ["--p", "1e400"], 2),
+    ("dist", X_TEXT.encode(), ["--q", "1e400"], 2),
     ("geodesic", X_TEXT.encode(), ["--format", "csv"], 2),
     ("classify", GUARD_CURVE.encode(), [], 3),
-], ids=["missing-file", "bad-json", "deep-nesting", "not-utf8", "p-below-1", "csv-curve", "size-guard"])
+], ids=["missing-file", "bad-json", "deep-nesting", "not-utf8", "p-below-1", "p-overflows", "q-overflows",
+        "csv-curve", "size-guard"])
 def test_error_contract(tmp_path, command, document, flags, code):
     # every bad input exits with its documented code and one error line, no traceback
     path = tmp_path / "input.json"

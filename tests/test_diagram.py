@@ -13,6 +13,7 @@ from pdg import (
     ParameterDomainError,
     ParseError,
     Point,
+    StructuralError,
     ValidationError,
     diagonal_distance,
     diagonal_projection,
@@ -43,6 +44,14 @@ def test_ground_norm_examples():
             ground_norm((3.0, 4.0), q)
         with pytest.raises(ParameterDomainError, match="q must lie in \\[1, inf\\]"):
             diagonal_distance(Point(0.0, 1.0), q)
+    # a vector that is not two real numbers is refused, never truncated
+    assert ground_norm(np.array([3, 4]), 2.0) == ground_norm([3.0, 4.0], 2.0) == 5.0
+    for v in ((3.0, 4.0, 12.0), (3.0,), (), 5.0, "34", np.eye(2)):
+        with pytest.raises(StructuralError, match="exactly 2 entries"):
+            ground_norm(v, 2.0)
+    for v in (("a", "b"), (10 ** 400, 1), (math.nan, 1.0), (1.0, math.nan), (None, 1.0)):
+        with pytest.raises(ValidationError):
+            ground_norm(v, 2.0)
 
 
 def test_ground_norm_general_q_between_bounds():
@@ -131,6 +140,13 @@ def test_parse_extended():
         parse_extended("two")
     with pytest.raises(ParameterDomainError, match="nan is not a valid exponent"):
         parse_extended("nan")
+    assert parse_extended(" +INF ") == parse_extended(math.inf) == math.inf
+    assert parse_extended("-infinity") == -math.inf
+    assert parse_extended("1e308") == 1e308
+    # a finite literal beyond the float range is no spelling of inf
+    for text in ("1e400", "-1e400", " 1e999 ", 10 ** 400):
+        with pytest.raises(ParameterDomainError, match="exceeds the float range"):
+            parse_extended(text)
 
 
 def test_metric_params_domain():

@@ -46,6 +46,7 @@ from pdg.matching import (
     HYPOT_PORT_FROM,
     _all_actions,
     _copy_rule,
+    _exhaust,
     _hypot_port,
     _reduced_partners,
     _solved,
@@ -235,18 +236,23 @@ def cluster_pair(rng, nx, ny, width):
     return draw(nx), draw(ny)
 
 
-def assert_canonical_copies(assignment, nx, ny):
-    """A point sent to the diagonal takes its own copy, an unmatched point of Y
-    takes its own copy, and a real pair's partners' copies pair together."""
-    partner = {}
+def canonical_copies(perms, nx, ny):
+    """Which rows of the slot permutations perms place the diagonal copies by
+    the copy rule: a point sent to the diagonal takes its own copy, an
+    unmatched point of Y takes its own copy, and a real pair's partners'
+    copies pair together."""
+    perms = np.array(perms, dtype=np.int64, ndmin=2)
+    ok = np.ones(len(perms), dtype=bool)
+    copy_rows = np.tile(np.arange(ny), (len(perms), 1))
     for i in range(nx):
-        j = assignment[i]
-        if j < ny:
-            partner[j] = i
-        else:
-            assert j == ny + i
-    for j in range(ny):
-        assert assignment[nx + j] == (ny + partner[j] if j in partner else j)
+        real = perms[:, i] < ny
+        ok &= real | (perms[:, i] == ny + i)
+        copy_rows[real, perms[real, i]] = ny + i
+    return ok & (perms[:, nx:] == copy_rows).all(axis=1)
+
+
+def assert_canonical_copies(assignment, nx, ny):
+    assert canonical_copies([assignment], nx, ny)[0], assignment
 
 
 def test_reduced_solve_matches_the_square_solve():
@@ -526,7 +532,9 @@ def reference_brute_force(x, y, params):
 
 
 def reference_optimal_matchings(x, y, params):
-    """The tol-optimal matchings, one per geometric action, scanned on their own."""
+    """The tol-optimal matchings, scanned on their own: of each kept action
+    the one permutation that places its copies by the copy rule, the actions
+    in the order of their first permutation."""
     nx, ny = len(x), len(y)
     n = nx + ny
     if n == 0:
@@ -538,14 +546,8 @@ def reference_optimal_matchings(x, y, params):
         values = selected.max(axis=1)
     else:
         values = prob.scale * selected.sum(axis=1) ** (1.0 / params.p)
-    cutoff = float(values.min()) + params.tol
-    out, seen = [], set()
-    for k in np.flatnonzero(values <= cutoff):
-        action = tuple(int(j) if j < ny else -1 for j in perms[k][:nx])
-        if action not in seen:
-            seen.add(action)
-            out.append(matching_from_assignment(x, y, perms[k], params))
-    return out
+    kept = perms[(values <= float(values.min()) + params.tol) & canonical_copies(perms, nx, ny)]
+    return [matching_from_assignment(x, y, perm, params) for perm in kept]
 
 
 def reference_transport_cost(prob, matrix, p):
@@ -582,8 +584,8 @@ def reference_ot(x, y, p, tol=1e-9):
 
 def test_exhaustive_oracles_match_independent_scans():
     # 0-7 slots, each at a random and at an even split; integer coordinates
-    # give exact ties, where the first optimal permutation in lexicographic
-    # order must win
+    # give exact ties, where the first optimal action in lexicographic order
+    # must win
     rng = np.random.default_rng(61)
     pairs = []
     for n in list(range(8)) * 2:
@@ -598,7 +600,14 @@ def test_exhaustive_oracles_match_independent_scans():
             for q in GRID_Q:
                 params = MetricParams(p, q)
                 assert brute_force_distance(x, y, params) == reference_brute_force(x, y, params)
-                assert enumerate_optimal_matchings(x, y, params) == reference_optimal_matchings(x, y, params)
+                found = enumerate_optimal_matchings(x, y, params)
+                assert found == reference_optimal_matchings(x, y, params)
+                # every matching built from an action places its copies by one rule
+                witness = distance(x, y, params)[1]
+                for m in [*found, _exhaust(x, y, params, "test")[3], witness]:
+                    assert_canonical_copies(m.assignment, len(x), len(y))
+                for m in (witness.inverse(), distance(y, x, params)[1]):
+                    assert_canonical_copies(m.assignment, len(y), len(x))
             if p == math.inf:
                 continue
             assert verify_ot_equivalence(x, y, p) == reference_ot(x, y, p)
@@ -608,16 +617,20 @@ def test_exhaustive_oracles_match_independent_scans():
                 assert transport_cost(prob, plan) == reference_transport_cost(prob, plan.matrix, p)
 
 
-def test_action_table_is_the_first_permutation_of_each_action():
+def test_action_table_is_the_copy_rule_permutation_of_each_action():
     # the geometric action of a slot permutation: where each point of X goes,
-    # a point of Y or the diagonal (-1)
+    # a point of Y or the diagonal (-1).  Each action has one permutation
+    # that places its copies by the copy rule, and the table holds it, the
+    # actions in the order of their first permutation
     for n in range(9):
         perms = reference_permutations(n)
         for nx in range(n + 1):
             ny = n - nx
             actions = np.where(perms[:, :nx] < ny, perms[:, :nx], -1)
-            _, first = np.unique(actions, axis=0, return_index=True)
-            expected = perms[np.sort(first)]
+            unique, first = np.unique(actions, axis=0, return_index=True)
+            expected = perms[canonical_copies(perms, nx, ny)]
+            assert np.array_equal(np.where(expected[:, :nx] < ny, expected[:, :nx], -1),
+                                  unique[np.argsort(first)]), (nx, ny)
             table = _all_actions(nx, ny)
             assert (table.dtype, table.shape) == (expected.dtype, expected.shape), (nx, ny)
             assert np.array_equal(table, expected), (nx, ny)

@@ -1,8 +1,9 @@
 """Rules the package writes once keep their one owner: JSON is decoded in
 diagram._load_json, stdout is written in cli._emit, the diagonal factor
 2^(1/q - 1) is computed in diagram._diagonal_factor, the exhaustive optimum
-is picked in matching._exhaust, and the l^p root is taken in
-matching._aggregate.  No enumeration of all n! slot permutations is left."""
+is picked in matching._exhaust, the l^p root is taken in
+matching._aggregate, and the diagonal copies are placed in
+matching._copy_rule.  No enumeration of all n! slot permutations is left."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,14 @@ def _is_factorial_enumeration(node) -> bool:
 def test_no_slot_permutation_enumeration_is_left():
     # the exhaustive oracles scan one row per geometric action
     assert _places(_is_factorial_enumeration) == set()
+
+
+def _is_copy_columns(node) -> bool:
+    """A range(ny, ...) call: the diagonal-copy columns of an assignment."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+            and len(node.args) >= 2 and isinstance(node.args[0], ast.Name) and node.args[0].id == "ny")
+
+
+def test_the_diagonal_copies_are_placed_in_one_place():
+    # the witness, every enumerated optimum and the exhaustive one share it
+    assert _places(_is_copy_columns) == {"matching._copy_rule"}
