@@ -219,6 +219,14 @@ class Diagram:
             return Diagram._checked(self._coords + a, self._indices)
 
 
+def _checked_p(p) -> float:
+    """p as a float, refused unless it is a number in [1, inf]."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if float(p) >= 1.0:  # NaN fails it
+            return float(p)
+    raise ParameterDomainError(f"p must lie in [1, inf], got {p}")
+
+
 def _checked_q(q) -> float:
     """q as a float, refused unless it is a number in [1, inf]."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
@@ -240,8 +248,7 @@ class MetricParams:
             p, q, tol = float(self.p), float(self.q), float(self.tol)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterDomainError(f"p, q and tol must be real numbers: {exc}") from exc
-        if math.isnan(p) or p < 1.0:
-            raise ParameterDomainError(f"p must lie in [1, inf], got {self.p}")
+        _checked_p(self.p)
         if p != math.inf and p > MAX_FINITE_P:
             raise ParameterDomainError(
                 f"finite p is capped at {MAX_FINITE_P:g} (got {p:g}); use p=inf for the bottleneck case"

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diagram import (
-    _NUMBER_TYPES, Diagram, MetricParams, _load_json, _midpoint, _qnorm,
-    diagram_from_dict, diagram_to_dict,
+    _NUMBER_TYPES, Diagram, MetricParams, _checked_p, _checked_q, _load_json, _midpoint,
+    _qnorm, diagram_from_dict, diagram_to_dict,
 )
 from .errors import (
     ParameterDomainError,
@@ -134,11 +134,11 @@ def _legs(x: Diagram, y: Diagram, m: Matching) -> list:
     """
     nx = len(x)
     ny = len(y)
-    _check_assignment(nx + ny, m.assignment)
+    slots = _check_assignment(nx + ny, m.assignment)
     xs = x.geometry().tolist()
     ys = y.geometry().tolist()
     legs = []
-    for i, j in enumerate(m.assignment):
+    for i, j in enumerate(slots):
         if i < nx:
             a = xs[i]
             b, target = (ys[j], y._indices[j]) if j < ny else ([_midpoint(*a)] * 2, None)
@@ -301,7 +301,9 @@ def regime(p: float, q: float) -> str:
     "characterized": every geodesic is a straight-line interpolation.
     "counterexample": deviant or branching geodesics are known to exist.
     "open": neither statement is established.
+    A p or q outside [1, inf] is refused (MetricParams alone caps finite p).
     """
+    p, q = _checked_p(p), _checked_q(q)
     if p == math.inf or (p == 1.0 and q == 1.0):
         return "counterexample"
     if p == q and p >= 2.0:

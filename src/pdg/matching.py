@@ -41,12 +41,12 @@ reported bottleneck value is always an exact matrix entry.  Each threshold
 is probed by one linear_sum_assignment with +inf above it, which scipy
 refuses as infeasible where no perfect matching is left.  The search is
 bracketed between the largest row or column minimum and the largest entry of
-a minimum-sum assignment of the scaled ground (solved as for finite p),
-tries the lower bound first, and binary-searches the distinct entries in
-between, each feasible probe lowering the top to its own largest entry.
-The witness is, among the assignments whose entries all lie within the
-optimum, one of least ground sum (scaled by the largest finite ground), its
-diagonal copies placed by the finite-p rule.
+a minimum-sum assignment of ground / AugmentedProblem.scale (solved as for
+finite p), tries the lower bound first, and binary-searches the distinct
+entries in between, each feasible probe lowering the top to its own largest
+entry.  The witness is, among the assignments whose entries all lie within
+the optimum, one of least sum of ground / scale, the scale that prices every
+finite p, its diagonal copies placed by the finite-p rule.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class Matching:
 
     def inverse(self) -> "Matching":
         """The same matching viewed from the other diagram's side."""
-        n = len(self.assignment)
-        _check_assignment(n, self.assignment)
-        inv = [0] * n
-        for i, j in enumerate(self.assignment):
+        slots = _check_assignment(len(self.assignment), self.assignment)
+        inv = [0] * len(slots)
+        for i, j in enumerate(slots):
             inv[j] = i
         return Matching(tuple(inv), tuple(self.grounds[i] for i in inv), self.total)
 
@@ -97,9 +96,10 @@ class Matching:
 class AugmentedProblem:
     """The square cost model for one ordered pair of diagrams.
 
-    ``ground`` holds raw l^q pair costs.  ``cost`` holds the solver objective:
-    (ground / scale)^p for finite p (scale is the largest finite ground, which
-    keeps powers bounded by one) and ground itself for p = inf.
+    ``ground`` holds raw l^q pair costs and ``scale`` its largest finite entry
+    (1.0 where that is 0).  ``cost`` holds the solver objective:
+    (ground / scale)^p for finite p, which keeps powers bounded by one, and
+    ground itself for p = inf, where the scale prices the witness.
     """
 
     x: Diagram
@@ -255,16 +255,6 @@ def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
     return grounds
 
 
-def _finite_scale(ground: np.ndarray) -> float:
-    """The largest finite ground entry, or 1.0 where that is 0.  An overflowed
-    norm is left out, so its scaled cost is +inf, which the solvers accept as
-    priced out."""
-    scale = float(ground.max()) if ground.size else 0.0
-    if scale == math.inf:
-        scale = float(ground.max(where=ground < math.inf, initial=0.0))
-    return scale or 1.0
-
-
 def _augmented(real: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """The square augmented matrix of an nx x ny real block and the nx + ny
     diagonal entries of the points of X then Y: x_i's down row i of the
@@ -291,34 +281,46 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
         real = _real_grounds(xs[:, None], ys[None, :], q)
         diagonal = _diagonal_grounds(np.concatenate((xs, ys)), q)
     ground = _augmented(real, diagonal)
-    if params.p == math.inf:
-        return AugmentedProblem(x, y, params, ground, ground, 1.0)
-    scale = _finite_scale(ground)
+    # the largest finite ground, or 1.0 where that is 0: an overflowed norm is
+    # left out, so its scaled cost is +inf, which the solvers price out
+    scale = float(ground.max(initial=0.0))
+    if scale == math.inf:
+        scale = float(ground.max(where=ground < math.inf, initial=0.0))
+    scale = scale or 1.0
     p = params.p
-    if p in (1.0, 2.0) or real.size < BLOCKWISE_POWER_FROM:
+    if p == math.inf:
+        cost = ground
+    elif p in (1.0, 2.0) or real.size < BLOCKWISE_POWER_FROM:
         cost = (ground / scale) ** p
     else:
         cost = _augmented((real / scale) ** p, (diagonal / scale) ** p)
     return AugmentedProblem(x, y, params, ground, cost, scale)
 
 
-def _check_assignment(n: int, assignment) -> None:
-    """Refuse an assignment that is not a bijection of n slots onto n slots,
-    the one rule every caller handed a matching or an assignment relies on."""
+def _check_assignment(n: int, assignment) -> tuple[int, ...]:
+    """The slots of an assignment as a tuple of Python ints, refused unless it
+    is a bijection of n slots onto n slots (the one rule every caller handed a
+    matching or an assignment relies on) whose slots are ints or numpy
+    integers: a bool, a float, a string or any other entry is refused."""
     if len(assignment) != n:
         raise StructuralError(f"matching covers {len(assignment)} slots but the diagrams define {n}")
-    if sorted(assignment) != list(range(n)):
-        raise StructuralError("assignment is not a permutation of the right slots")
+    exact = {int}.issuperset(map(type, assignment))  # one pass; a bool's type is not int
+    if exact or all(type(slot) is int or isinstance(slot, np.integer) for slot in assignment):
+        slots = tuple(assignment if exact else map(int, assignment))
+        if sorted(slots) == list(range(n)):
+            return slots
+    raise StructuralError("assignment is not a permutation of the right slots")
 
 
-def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> tuple[float, ...]:
-    """The n selected entries of the ground matrix, computed without building it."""
+def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The checked slots of an assignment and its n selected entries of the
+    ground matrix, computed without building it."""
     nx = len(x)
     ny = len(y)
-    _check_assignment(nx + ny, assignment)
+    slots = _check_assignment(nx + ny, assignment)
     xs = x.geometry()
     ys = y.geometry()
-    cols = np.asarray(assignment, dtype=np.intp)
+    cols = np.array(slots, dtype=np.intp)
     grounds = np.zeros(len(cols))
     # a point of X goes to its partner in Y, or else to the diagonal
     partner = cols[:nx]
@@ -330,7 +332,7 @@ def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> tuple[f
         partner = cols[nx:]
         real = partner < ny
         grounds[nx:][real] = _diagonal_grounds(ys[partner[real]], q)
-    return tuple(grounds.tolist())
+    return slots, tuple(grounds.tolist())
 
 
 def _aggregate(grounds, p: float, weights=None) -> float:
@@ -358,24 +360,22 @@ def _aggregate(grounds, p: float, weights=None) -> float:
     return total
 
 
-def _solved(prob: AugmentedProblem, assignment) -> Matching:
+def _solved(prob: AugmentedProblem, assignment: list[int]) -> Matching:
     """The matching of a solved assignment, its grounds read from prob.ground."""
-    if isinstance(assignment, np.ndarray):
-        assignment = assignment.tolist()
     grounds = tuple(map(prob.ground.item, range(prob.n), assignment))
     return Matching(tuple(assignment), grounds, _aggregate(grounds, prob.params.p))
 
 
 def matching_cost(x: Diagram, y: Diagram, m: Matching, params: MetricParams) -> float:
     """Cost of a given matching, recomputed from the diagrams."""
-    grounds = _assignment_grounds(x, y, m.assignment, params.q)
+    _, grounds = _assignment_grounds(x, y, m.assignment, params.q)
     return _aggregate(grounds, params.p)
 
 
 def matching_from_assignment(x: Diagram, y: Diagram, assignment, params: MetricParams) -> Matching:
     """Materialize a Matching (with costs) from a bare slot permutation."""
-    grounds = _assignment_grounds(x, y, assignment, params.q)
-    return Matching(tuple(map(int, assignment)), grounds, _aggregate(grounds, params.p))
+    slots, grounds = _assignment_grounds(x, y, assignment, params.q)
+    return Matching(slots, grounds, _aggregate(grounds, params.p))
 
 
 def _copy_rule(partner: list[int], nx: int, ny: int) -> list[int]:
@@ -459,8 +459,6 @@ def solve_assignment_sum(prob: AugmentedProblem) -> Matching:
     """Minimum-sum assignment for finite p."""
     if prob.params.p == math.inf:
         raise WrongSolverError("p = inf requires solve_assignment_bottleneck")
-    if prob.n == 0:
-        return Matching((), (), 0.0)
     return _solved(prob, _min_sum_assignment(prob.cost, prob.n_left_real, prob.n_right_real))
 
 
@@ -482,9 +480,9 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
     perfect matching, so the total is exactly a matrix entry.  The lower
     bound (the largest row or column minimum) is probed first; if it fails, a
     binary search probes the distinct entries above it up to the largest
-    entry of a minimum-sum assignment of the scaled ground; a feasible probe
-    lowers the search's top to its own assignment's largest entry.  The
-    witness is the least scaled ground sum under d*: the minimum-sum
+    entry of a minimum-sum assignment of ground / prob.scale; a feasible
+    probe lowers the search's top to its own assignment's largest entry.  The
+    witness is the least sum of ground / prob.scale under d*: the minimum-sum
     assignment where its largest entry is d*, else one more probe at d*,
     priced.  Its diagonal copies are placed by _copy_rule, as at finite p.
     """
@@ -494,7 +492,7 @@ def solve_assignment_bottleneck(prob: AugmentedProblem) -> Matching:
         return Matching((), (), 0.0)
     ground = prob.ground
     nx, ny = prob.n_left_real, prob.n_right_real
-    priced = ground / _finite_scale(ground)
+    priced = ground / prob.scale
     lower = max(ground.min(axis=1).max(), ground.min(axis=0).max())
     cols = _cheapest_under(ground, priced, lower)
     if cols is None:
@@ -561,7 +559,7 @@ def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
     actions = _all_actions(len(x), len(y))
     selected = prob.cost[np.arange(n), actions]
     objective = selected.max(axis=1, initial=0.0) if params.p == math.inf else selected.sum(axis=1)
-    return prob, actions, objective, _solved(prob, actions[int(np.argmin(objective))])
+    return prob, actions, objective, _solved(prob, actions[int(np.argmin(objective))].tolist())
 
 
 def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
@@ -582,4 +580,4 @@ def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) ->
         # finite; where tol is below the rounding, the floor keeps the optimum
         slack = 1.0 + (params.p + 2 * prob.n) * 2.0**-52
         cutoff = max(min(cutoff / prob.scale, prob.n) ** params.p, float(objective.min()) * slack)
-    return [_solved(prob, row) for row in actions[objective <= cutoff]]
+    return [_solved(prob, row) for row in actions[objective <= cutoff].tolist()]

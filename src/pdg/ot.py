@@ -56,9 +56,9 @@ class Coupling:
 def coupling_from_matching(m: Matching) -> Coupling:
     """The permutation plan that moves each slot onto its matched slot."""
     n = len(m.assignment)
-    _check_assignment(n, m.assignment)
+    slots = _check_assignment(n, m.assignment)
     matrix = np.zeros((n, n), dtype=float)
-    matrix[np.arange(n), m.assignment] = 1.0
+    matrix[np.arange(n), slots] = 1.0
     return Coupling(matrix)
 
 

@@ -266,6 +266,11 @@ def test_regime_tags():
     assert regime(3.0, 2.0) == "characterized"
     assert regime(1.5, 1.5) == "open"
     assert regime(3.0, 1.0) == "open"
+    # the finite-p cap of 64 is a solver limit, not the metric's domain
+    assert regime(100.0, 100.0) == "characterized"
+    for p, q in ((math.nan, 2.0), (0.5, 2.0), (2.0, 0.5), (2.0, math.nan)):
+        with pytest.raises(ParameterDomainError, match=r"^[pq] must lie in \[1, inf\], got "):
+            regime(p, q)
 
 
 def test_detect_branching_none_for_identical_curves():

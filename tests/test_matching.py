@@ -135,13 +135,15 @@ def test_ground_matrix_equals_the_scalar_oracle_bitwise():
 def test_cost_matrix_is_the_scaled_ground_to_the_p_bitwise():
     # the build raises only the distinct grounds to the p-th power; its cost
     # must still be the whole square's (ground / scale) ** p, bit for bit,
-    # scale the largest finite ground (or 1.0 where that is 0)
+    # scale the largest finite ground (or 1.0 where that is 0), at p = inf too,
+    # where the cost is the ground itself and the scale prices the witness
     for x, y in sized_pairs(61):
         for q in (1.0, 1.5, 2.0, math.inf):
-            for p in (1.0, 1.5, 2.0, 3.0, 64.0):
+            for p in (1.0, 1.5, 2.0, 3.0, 64.0, math.inf):
                 prob = build_augmented_problem(x, y, MetricParams(p, q))
                 assert prob.scale == (prob.ground.max(where=prob.ground < math.inf, initial=0.0) or 1.0)
-                assert prob.cost.tobytes() == ((prob.ground / prob.scale) ** p).tobytes()
+                expected = prob.ground if p == math.inf else (prob.ground / prob.scale) ** p
+                assert prob.cost.tobytes() == expected.tobytes()
 
 
 def test_the_hypot_port_is_math_hypot_bitwise():

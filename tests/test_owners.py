@@ -2,8 +2,10 @@
 diagram._load_json, stdout is written in cli._emit, the diagonal factor
 2^(1/q - 1) is computed in diagram._diagonal_factor, the exhaustive optimum
 is picked in matching._exhaust, the l^p root is taken in
-matching._aggregate, and the diagonal copies are placed in
-matching._copy_rule.  No enumeration of all n! slot permutations is left."""
+matching._aggregate, the diagonal copies are placed in matching._copy_rule,
+and the cost scale, the largest finite ground, is found in
+matching.build_augmented_problem.  No enumeration of all n! slot
+permutations is left."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,14 @@ def _is_copy_columns(node) -> bool:
 def test_the_diagonal_copies_are_placed_in_one_place():
     # the witness, every enumerated optimum and the exhaustive one share it
     assert _places(_is_copy_columns) == {"matching._copy_rule"}
+
+
+def _is_finite_max(node) -> bool:
+    """A .max(...) call with a where= keyword: the largest finite ground."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "max"
+            and any(keyword.arg == "where" for keyword in node.keywords))
+
+
+def test_the_cost_scale_is_found_in_one_place():
+    # every solver, the p = inf witness included, reads it as AugmentedProblem.scale
+    assert _places(_is_finite_max) == {"matching.build_augmented_problem"}
