@@ -313,15 +313,26 @@ def _diagonal_factor(q: float) -> float:
     return 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
 
 
-def diagonal_distance(point: Point, q: float) -> float:
-    """Perpendicular l^q distance from a point to the diagonal.
+def _diagonal_ground(birth: float, death: float, q: float) -> float:
+    """c * (death - birth) with c = _diagonal_factor(q), or c * death - c *
+    birth where the persistence overflows; ValidationError where that
+    overflows too, the distance being beyond the float range."""
+    c = _diagonal_factor(q)
+    value = c * (death - birth)
+    if value == math.inf:
+        value = c * death - c * birth
+        if value == math.inf:
+            raise ValidationError(
+                f"the diagonal distance of point ({birth}, {death}) at q = {q:g} exceeds the float range"
+            )
+    return value
 
-    Equals c * persistence with c = _diagonal_factor(q); where the
-    persistence overflows, c * death - c * birth.
-    """
-    c = _diagonal_factor(_checked_q(q))
-    value = c * (point.death - point.birth)
-    return value if math.isfinite(value) else c * point.death - c * point.birth
+
+def diagonal_distance(point: Point, q: float) -> float:
+    """Perpendicular l^q distance from a point to the diagonal, c times its
+    persistence (see _diagonal_ground); ValidationError where that exceeds
+    the float range."""
+    return _diagonal_ground(point.birth, point.death, _checked_q(q))
 
 
 def _load_json(data):

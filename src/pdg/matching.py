@@ -7,17 +7,19 @@ A real pair costs the l^q norm of the coordinate difference, a real point
 paired with a diagonal copy costs its perpendicular distance to the diagonal,
 and two diagonal copies pair for free.  A point whose distance to the
 diagonal exceeds the float range is refused, and a real pair whose norm
-overflows costs +inf at every p and q.  The matrix is built by numpy
-broadcasts over the two point arrays, each distinct entry once and each
-bitwise equal to the scalar norm: at q = 2 the real pairs go through
-math.hypot one lane at a time, or from HYPOT_PORT_FROM pairs on through
-_hypot_port, a numpy port of CPython's math.hypot that falls back to it on
-zero, infinite and subnormal lanes.  At finite p, from BLOCKWISE_POWER_FROM
-pairs on, the p-th power is taken over the distinct costs only.  A solver
-reads its witness's grounds back from the matrix it solved; matching_cost
-reprices a given matching from the diagrams alone.
-Both total the grounds by one l^p sum, _aggregate, which refuses a finite
-total beyond the float range at every finite p.
+overflows costs +inf at every p and q.  Below NUMPY_BUILD_FROM combined
+slots the matrix is built on Python floats (each real pair's _qnorm, each
+point's diagram._diagonal_ground) and handed to numpy once; from there on
+by numpy broadcasts over one plane per coordinate axis.  Either way each
+distinct entry is computed once and is bitwise the scalar norm: at q = 2 the
+numpy build's real pairs go through math.hypot one lane at a time, or from
+HYPOT_PORT_FROM pairs on through _hypot_port, a numpy port of CPython's
+math.hypot that falls back to it on zero, infinite and subnormal lanes.  At
+finite p, from BLOCKWISE_POWER_FROM pairs on, the p-th power is taken over
+the distinct costs only.  A solver reads its witness's grounds back from
+the matrix it solved; matching_cost reprices a given matching from the
+diagrams alone.  Both total the grounds by one l^p sum, _aggregate, which
+refuses a finite total beyond the float range at every finite p.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
 O(n^3) method).  From REDUCED_FROM points on each side it solves a reduced
@@ -60,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diagram import Diagram, MetricParams, _diagonal_factor, _qnorm
+from .diagram import Diagram, MetricParams, _diagonal_factor, _diagonal_ground, _qnorm
 from .errors import SizeGuardError, StructuralError, ValidationError, WrongSolverError
 
 #: Largest augmented problem size the factorial (enumeration) paths accept.
@@ -122,12 +124,12 @@ class AugmentedProblem:
         return len(self.y)
 
 
-def _lanes(norm, a: np.ndarray, *rest) -> np.ndarray:
-    """norm(x, y, *rest) over the (x, y) lanes on the last axis of a, as a
-    float array of a's other axes: one map over the two lists of one tolist,
-    each lane taken on Python floats."""
-    xs, ys = a.reshape(-1, 2).T.tolist()
-    return np.fromiter(map(norm, xs, ys, *rest), float, len(xs)).reshape(a.shape[:-1])
+def _lanes(norm, ax: np.ndarray, ay: np.ndarray, *rest) -> np.ndarray:
+    """norm(x, y, *rest) over the lanes of two planes of one shape, x from ax
+    and y from ay, as a float array of that shape: one map over the planes'
+    two tolists, each lane taken on Python floats."""
+    xs = ax.ravel().tolist()
+    return np.fromiter(map(norm, xs, ay.ravel().tolist(), *rest), float, len(xs)).reshape(ax.shape)
 
 
 #: q = 2 grounds go through _hypot_port from this many entries, and through
@@ -209,22 +211,21 @@ def _hypot_port(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
         out = np.ldexp(h, e)
         special = np.isnan(out) | (e < -1021)
         if special.any():
-            out[special] = _lanes(math.hypot, np.stack((ax[special], ay[special]), axis=-1))
+            out[special] = _lanes(math.hypot, ax[special], ay[special])
     return out
 
 
 def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     """Elementwise l^q norms of the differences of the (broadcast) coordinate
-    rows xs - ys, each bitwise what _qnorm gives.  np.hypot is not used: it
-    differs from math.hypot in the last bit on some entries, and a witness
-    must reprice to its value exactly and a bottleneck value be an entry of
-    an independently built matrix.  Near +-1e308 a difference overflows, and
-    its norm is +inf at every q; the callers price it, and run this and
-    _diagonal_grounds under one np.errstate that silences numpy's overflow
-    warnings."""
-    a = np.abs(xs - ys)
-    ax = a[..., 0]
-    ay = a[..., 1]
+    rows xs - ys, each bitwise what _qnorm gives, taken on one contiguous
+    plane per axis.  np.hypot is not used: it differs from math.hypot in the
+    last bit on some entries, and a witness must reprice to its value exactly
+    and a bottleneck value be an entry of an independently built matrix.
+    Near +-1e308 a difference overflows, and its norm is +inf at every q; the
+    callers price it, and run this and _diagonal_grounds under one
+    np.errstate that silences numpy's overflow warnings."""
+    ax = np.abs(xs[..., 0] - ys[..., 0])
+    ay = np.abs(xs[..., 1] - ys[..., 1])
     if q == 1.0:
         return ax + ay
     if q == math.inf:
@@ -232,12 +233,12 @@ def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         if ax.size >= HYPOT_PORT_FROM:
             return _hypot_port(ax, ay)
-        return _lanes(math.hypot, a)
-    return _lanes(_qnorm, a, itertools.repeat(q))
+        return _lanes(math.hypot, ax, ay)
+    return _lanes(_qnorm, ax, ay, itertools.repeat(q))
 
 
 def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
-    """Elementwise diagonal_distance of the points with (n, 2) coordinates,
+    """Elementwise _diagonal_ground of the points with (n, 2) coordinates,
     bitwise: c * persistence, or c * death - c * birth where that overflows.
     A distance that overflows even so is beyond the float range: the point is
     refused, at every p alike."""
@@ -247,12 +248,30 @@ def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
         over = np.isinf(grounds)
         grounds[over] = c * coords[over, 1] - c * coords[over, 0]
         if math.inf in grounds[over].tolist():
-            birth, death = coords[np.isinf(grounds)][0].tolist()
-            raise ValidationError(
-                f"the diagonal distance of point ({birth}, {death}) at q = {q:g} "
-                f"exceeds the float range"
-            )
+            _diagonal_ground(*coords[np.isinf(grounds)][0].tolist(), q)  # raises: the first refused point
     return grounds
+
+
+def _python_ground(xs: list, ys: list, q: float) -> np.ndarray:
+    """The augmented ground of the (birth, death) rows xs and ys, laid out as
+    _augmented lays it out, built on Python floats and handed to numpy once:
+    each real pair's _qnorm and each point's _diagonal_ground, bitwise the
+    numpy build's entries."""
+    nx = len(xs)
+    ny = len(ys)
+    # X's diagonal grounds first, so a refused point is the one numpy names
+    across = [_diagonal_ground(birth, death, q) for birth, death in xs]
+    copies = [_diagonal_ground(birth, death, q) for birth, death in ys] + [0.0] * nx
+    flat = []
+    for (xb, xd), diagonal in zip(xs, across):
+        if q == 2.0:  # bitwise _qnorm's math.hypot, which takes the absolute values itself
+            flat += [math.hypot(xb - yb, xd - yd) for yb, yd in ys]
+        else:
+            flat += [_qnorm(xb - yb, xd - yd, q) for yb, yd in ys]
+        flat += [diagonal] * nx
+    flat += copies * ny
+    n = nx + ny
+    return np.fromiter(flat, float, n * n).reshape(n, n)
 
 
 def _augmented(real: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
@@ -268,19 +287,36 @@ def _augmented(real: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Augmented problems of fewer than this many combined slots (nx + ny) are
+#: built on Python floats by _python_ground, larger ones by numpy broadcasts,
+#: whose twenty-odd calls cost some 11-15 us whatever the size.  Counted in
+#: slots, not real pairs, so a (0, 500) problem never takes the Python path,
+#: and its real block, at most 16 entries, stays below BLOCKWISE_POWER_FROM.
+#: A whole build (best of 7 x 1000 on a shared 2-core host, Python against
+#: numpy) took 6.9 against 14.5 us at (0, 4) and 15.0 against 19.7 at (5, 5)
+#: at p = q = 2; at q = 1 and inf the two met near 9 slots, and numpy won
+#: from 10 (13.9 against 23.9 us at (5, 5), q = inf).
+NUMPY_BUILD_FROM = 9
+
+
 def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> AugmentedProblem:
     """The augmented problem of x against y.  Each distinct ground (a real
-    pair's, or one point's diagonal distance) is computed once.  So is each
-    distinct cost, where p is neither 1 nor 2 and the real block has at least
-    BLOCKWISE_POWER_FROM entries; either way each cost entry is bitwise
-    (ground / scale)^p."""
+    pair's, or one point's diagonal distance) is computed once: on Python
+    floats below NUMPY_BUILD_FROM combined slots, where numpy's fixed cost
+    per call outweighs the work, and by numpy broadcasts from there on.  So
+    is each distinct cost, where p is neither 1 nor 2 and the real block has
+    at least BLOCKWISE_POWER_FROM entries; either way each cost entry is
+    bitwise (ground / scale)^p."""
     q = params.q
     xs = x.geometry()
     ys = y.geometry()
-    with np.errstate(over="ignore"):
-        real = _real_grounds(xs[:, None], ys[None, :], q)
-        diagonal = _diagonal_grounds(np.concatenate((xs, ys)), q)
-    ground = _augmented(real, diagonal)
+    if len(xs) + len(ys) < NUMPY_BUILD_FROM:
+        ground = _python_ground(xs.tolist(), ys.tolist(), q)
+    else:
+        with np.errstate(over="ignore"):
+            real = _real_grounds(xs[:, None], ys[None, :], q)
+            diagonal = _diagonal_grounds(np.concatenate((xs, ys)), q)
+        ground = _augmented(real, diagonal)
     # the largest finite ground, or 1.0 where that is 0: an overflowed norm is
     # left out, so its scaled cost is +inf, which the solvers price out
     scale = float(ground.max(initial=0.0))
@@ -290,7 +326,7 @@ def build_augmented_problem(x: Diagram, y: Diagram, params: MetricParams) -> Aug
     p = params.p
     if p == math.inf:
         cost = ground
-    elif p in (1.0, 2.0) or real.size < BLOCKWISE_POWER_FROM:
+    elif p in (1.0, 2.0) or len(xs) * len(ys) < BLOCKWISE_POWER_FROM:
         cost = (ground / scale) ** p
     else:
         cost = _augmented((real / scale) ** p, (diagonal / scale) ** p)

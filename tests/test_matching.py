@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -44,6 +45,7 @@ from pdg.instances import GRID_P, GRID_Q, four_point_pair, index_twins, random_p
 from pdg.matching import (
     BLOCKWISE_POWER_FROM,
     HYPOT_PORT_FROM,
+    NUMPY_BUILD_FROM,
     _all_actions,
     _copy_rule,
     _exhaust,
@@ -104,20 +106,29 @@ def scalar_ground(x, y, q):
     return ground
 
 
-#: Sizes on both sides of HYPOT_PORT_FROM real entries, where q = 2 grounds
-#: move from math.hypot mapped over the lanes to its numpy port, and of
-#: BLOCKWISE_POWER_FROM, where the cost's p-th power is taken block by block.
+#: Sizes on both sides of NUMPY_BUILD_FROM combined slots, where the ground
+#: moves from Python floats to numpy broadcasts; of HYPOT_PORT_FROM real
+#: entries, where q = 2 grounds move from math.hypot mapped over the lanes to
+#: its numpy port; and of BLOCKWISE_POWER_FROM, where the cost's p-th power is
+#: taken block by block.
 ACROSS_THE_PORT = [(0, 0), (0, 3), (4, 0), (1, 1), (2, 5), (7, 3), (12, 9), (19, 21), (25, 25),
                    (30, 28), (40, 35), (60, 57)]
 
 
 def sized_pairs(seed):
     """A random pair at each of ACROSS_THE_PORT's sizes, then a far-apart pair
-    above the cut-over, whose +inf q = 2 grounds take the port's fallback."""
+    above each cut-over, whose +inf q = 2 grounds take the port's fallback,
+    and one below NUMPY_BUILD_FROM, whose +inf grounds are Python floats."""
     rng = np.random.default_rng(seed)
     for cut in (HYPOT_PORT_FROM, BLOCKWISE_POWER_FROM):
         assert min(nx * ny for nx, ny in ACROSS_THE_PORT) < cut <= 30 * 28
-    return [random_sized_pair(rng, nx, ny) for nx, ny in ACROSS_THE_PORT] + [far_apart_pair(rng, 30, 28)]
+    sizes = [nx + ny for nx, ny in ACROSS_THE_PORT]
+    assert min(sizes) < NUMPY_BUILD_FROM <= max(sizes)
+    # the Python build has no separate blocks to take the blockwise power of
+    assert (NUMPY_BUILD_FROM // 2) ** 2 < BLOCKWISE_POWER_FROM
+    assert 3 + 2 < NUMPY_BUILD_FROM <= 30 + 28
+    return [random_sized_pair(rng, nx, ny) for nx, ny in ACROSS_THE_PORT] + [
+        far_apart_pair(rng, 30, 28), far_apart_pair(rng, 3, 2)]
 
 
 def test_ground_matrix_equals_the_scalar_oracle_bitwise():
@@ -144,6 +155,43 @@ def test_cost_matrix_is_the_scaled_ground_to_the_p_bitwise():
                 assert prob.scale == (prob.ground.max(where=prob.ground < math.inf, initial=0.0) or 1.0)
                 expected = prob.ground if p == math.inf else (prob.ground / prob.scale) ** p
                 assert prob.cost.tobytes() == expected.tobytes()
+
+
+def extreme_pair(rng, nx, ny):
+    """Points (-u 1e308, v 1e308) with u and v in [0.5, 1): persistences of
+    1e308 to 2e308, so c * persistence overflows on some points at every q,
+    and at q = 1 some diagonal distances exceed the float range."""
+    def draw(n):
+        return Diagram.from_pairs((rng.uniform(0.5, 1.0, (n, 2)) * (-1e308, 1e308)).tolist())
+
+    return draw(nx), draw(ny)
+
+
+def lattice_pair(rng, nx, ny):
+    """integer_pair on the 0.1 lattice: many grounds tie, and differences round."""
+    return tuple(d.scaled(0.1) for d in integer_pair(rng, nx, ny))
+
+
+def test_the_python_and_numpy_ground_builds_agree_bitwise(monkeypatch):
+    # every size the Python build runs at and beyond, built both ways: the
+    # same ground bytes, or the same refusal of the same point
+    rng = np.random.default_rng(71)
+    pairs = [draw(rng, nx, ny) for nx in range(13) for ny in range(13 - nx)
+             for draw in (random_sized_pair, lattice_pair, far_apart_pair, extreme_pair)]
+    refused = 0
+    for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+        params = MetricParams(2.0, q)
+        for x, y in pairs:
+            outcomes = []
+            for switch in (0, 13):  # numpy, then Python floats, at every size here
+                monkeypatch.setattr("pdg.matching.NUMPY_BUILD_FROM", switch)
+                try:
+                    outcomes.append(build_augmented_problem(x, y, params).ground.tobytes())
+                except ValidationError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (len(x), len(y), q)
+            refused += isinstance(outcomes[0], tuple)
+    assert 0 < refused < len(pairs)
 
 
 def test_the_hypot_port_is_math_hypot_bitwise():
@@ -836,9 +884,12 @@ def test_unrepresentable_diagonal_distance_is_refused():
     # persistence 3.4e308: c * death - c * birth overflows too at q = 1, 1.5
     # and 2 (c = 1, 2^(-1/3), 2^(-1/2)), while at q = inf c = 1/2 and it fits
     x = Diagram.from_pairs([(0.0, 1.0), (-1.7e308, 1.7e308)])
-    for p in GRID_P:
-        for q in (1.0, 1.5, 2.0):
-            with pytest.raises(ValidationError, match=r"point \(-1\.7e\+308, 1\.7e\+308\) at q = "):
+    for q in (1.0, 1.5, 2.0):
+        message = f"the diagonal distance of point (-1.7e+308, 1.7e+308) at q = {q:g} exceeds the float range"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            diagonal_distance(x.points[1], q)
+        for p in GRID_P:
+            with pytest.raises(ValidationError, match=re.escape(message)):
                 build_augmented_problem(Diagram(), x, MetricParams(p, q))
     for p in (1.0, math.inf):
         assert math.isfinite(distance(x, Diagram(), MetricParams(p, math.inf))[0])

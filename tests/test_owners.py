@@ -1,7 +1,9 @@
 """Rules the package writes once keep their one owner: JSON is decoded in
 diagram._load_json, stdout is written in cli._emit, the diagonal factor
-2^(1/q - 1) is computed in diagram._diagonal_factor, the exhaustive optimum
-is picked in matching._exhaust, the l^p root is taken in
+2^(1/q - 1) is computed in diagram._diagonal_factor, the diagonal distance
+of a point whose persistence overflows, c * death - c * birth, in
+diagram._diagonal_ground and its numpy twin matching._diagonal_grounds, the
+exhaustive optimum is picked in matching._exhaust, the l^p root is taken in
 matching._aggregate, the diagonal copies are placed in matching._copy_rule,
 and the cost scale, the largest finite ground, is found in
 matching.build_augmented_problem.  No enumeration of all n! slot
@@ -68,6 +70,19 @@ def test_stdout_is_written_in_one_place():
 
 def test_diagonal_factor_is_written_once():
     assert _places(_is_diagonal_factor) == {"diagram._diagonal_factor"}
+
+
+def _is_scaled_difference(node) -> bool:
+    """A subtraction of two products of c: c * a - c * b."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                    and isinstance(side.left, ast.Name) and side.left.id == "c"
+                    for side in (node.left, node.right)))
+
+
+def test_the_overflowing_diagonal_distance_has_one_scalar_rule():
+    # the Python build and diagonal_distance share the scalar rule
+    assert _places(_is_scaled_difference) == {"diagram._diagonal_ground", "matching._diagonal_grounds"}
 
 
 def test_the_exhaustive_optimum_is_picked_in_one_place():
