@@ -313,11 +313,11 @@ def _diagonal_factor(q: float) -> float:
     return 2.0 ** ((0.0 if q == math.inf else 1.0 / q) - 1.0)
 
 
-def _diagonal_ground(birth: float, death: float, q: float) -> float:
-    """c * (death - birth) with c = _diagonal_factor(q), or c * death - c *
-    birth where the persistence overflows; ValidationError where that
-    overflows too, the distance being beyond the float range."""
-    c = _diagonal_factor(q)
+def _diagonal_ground(birth: float, death: float, q: float, c: float) -> float:
+    """c * (death - birth) with c = _diagonal_factor(q), taken once by the
+    caller for all its points, or c * death - c * birth where the persistence
+    overflows; ValidationError where that overflows too, the distance being
+    beyond the float range."""
     value = c * (death - birth)
     if value == math.inf:
         value = c * death - c * birth
@@ -332,7 +332,8 @@ def diagonal_distance(point: Point, q: float) -> float:
     """Perpendicular l^q distance from a point to the diagonal, c times its
     persistence (see _diagonal_ground); ValidationError where that exceeds
     the float range."""
-    return _diagonal_ground(point.birth, point.death, _checked_q(q))
+    q = _checked_q(q)
+    return _diagonal_ground(point.birth, point.death, q, _diagonal_factor(q))
 
 
 def _load_json(data):

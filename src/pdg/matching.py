@@ -9,12 +9,15 @@ and two diagonal copies pair for free.  A point whose distance to the
 diagonal exceeds the float range is refused, and a real pair whose norm
 overflows costs +inf at every p and q.  Below NUMPY_BUILD_FROM combined
 slots the matrix is built on Python floats (each real pair's _qnorm, each
-point's diagram._diagonal_ground) and handed to numpy once; from there on
-by numpy broadcasts over one plane per coordinate axis.  Either way each
-distinct entry is computed once and is bitwise the scalar norm: at q = 2 the
-numpy build's real pairs go through math.hypot one lane at a time, or from
-HYPOT_PORT_FROM pairs on through _hypot_port, a numpy port of CPython's
-math.hypot that falls back to it on zero, infinite and subnormal lanes.  At
+point's diagram._diagonal_ground, the diagonal factor taken once) and
+handed to numpy once; from there on by numpy broadcasts over one plane per
+coordinate axis.  A pair with an empty side is never built: distance
+returns its one matching, every point to the diagonal, directly.  Either
+way each distinct entry is computed once and is bitwise the scalar norm: at
+q = 2 the numpy build's real pairs go through math.hypot one lane at a
+time, or from HYPOT_PORT_FROM pairs on through _hypot_port, a numpy port of
+CPython's math.hypot that falls back to it on zero, infinite and subnormal
+lanes.  At
 finite p, from BLOCKWISE_POWER_FROM pairs on, the p-th power is taken over
 the distinct costs only.  A solver reads its witness's grounds back from
 the matrix it solved; matching_cost reprices a given matching from the
@@ -248,7 +251,7 @@ def _diagonal_grounds(coords: np.ndarray, q: float) -> np.ndarray:
         over = np.isinf(grounds)
         grounds[over] = c * coords[over, 1] - c * coords[over, 0]
         if math.inf in grounds[over].tolist():
-            _diagonal_ground(*coords[np.isinf(grounds)][0].tolist(), q)  # raises: the first refused point
+            _diagonal_ground(*coords[np.isinf(grounds)][0].tolist(), q, c)  # raises: the first refused point
     return grounds
 
 
@@ -259,9 +262,10 @@ def _python_ground(xs: list, ys: list, q: float) -> np.ndarray:
     numpy build's entries."""
     nx = len(xs)
     ny = len(ys)
+    c = _diagonal_factor(q)
     # X's diagonal grounds first, so a refused point is the one numpy names
-    across = [_diagonal_ground(birth, death, q) for birth, death in xs]
-    copies = [_diagonal_ground(birth, death, q) for birth, death in ys] + [0.0] * nx
+    across = [_diagonal_ground(birth, death, q, c) for birth, death in xs]
+    copies = [_diagonal_ground(birth, death, q, c) for birth, death in ys] + [0.0] * nx
     flat = []
     for (xb, xd), diagonal in zip(xs, across):
         if q == 2.0:  # bitwise _qnorm's math.hypot, which takes the absolute values itself
@@ -555,11 +559,20 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
     """Exact diagram distance and an optimal witness matching.
 
     The solve always runs on a canonical orientation of the pair, so the
-    value is symmetric in its arguments down to the last bit.
+    value is symmetric in its arguments down to the last bit.  The empty
+    diagram orients first, and against it there is one matching, every point
+    to the diagonal: it is returned as the solvers would return it, with no
+    problem built.
     """
     if y.multiset_key() < x.multiset_key():
         value, witness = distance(y, x, params)
         return value, witness.inverse()
+    if len(x) == 0:
+        q = params.q
+        c = _diagonal_factor(q)
+        grounds = tuple(_diagonal_ground(birth, death, q, c) for birth, death in y.geometry().tolist())
+        m = Matching(tuple(_copy_rule([], 0, len(y))), grounds, _aggregate(grounds, params.p))
+        return m.total, m
     prob = build_augmented_problem(x, y, params)
     if params.p == math.inf:
         m = solve_assignment_bottleneck(prob)

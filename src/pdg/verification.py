@@ -142,9 +142,10 @@ def metric_checks(seed: int = 0, trials: int = 50) -> list[dict]:
 
     p_mono = -math.inf
     q_mono = -math.inf
+    grid = [[MetricParams(p, q) for q in GRID_Q] for p in GRID_P]
     for _ in range(max(4, trials // 4)):
         a, b = random_pair(rng, max_total=6)
-        table = [[distance(a, b, MetricParams(p, q))[0] for q in GRID_Q] for p in GRID_P]
+        table = [[distance(a, b, params)[0] for params in row] for row in grid]
         for finite in table[:-1]:  # GRID_P ends in inf
             p_mono = max(p_mono, *(bot - fin for bot, fin in zip(table[-1], finite)))
         for values in table:

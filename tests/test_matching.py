@@ -174,24 +174,32 @@ def lattice_pair(rng, nx, ny):
 
 def test_the_python_and_numpy_ground_builds_agree_bitwise(monkeypatch):
     # every size the Python build runs at and beyond, built both ways: the
-    # same ground bytes, or the same refusal of the same point
+    # same ground, scale and cost bytes and the same p = inf witness, or the
+    # same refusal of the same point
     rng = np.random.default_rng(71)
     pairs = [draw(rng, nx, ny) for nx in range(13) for ny in range(13 - nx)
              for draw in (random_sized_pair, lattice_pair, far_apart_pair, extreme_pair)]
+
+    def built(x, y, params):
+        try:
+            prob = build_augmented_problem(x, y, params)
+        except ValidationError as exc:
+            return type(exc), str(exc)
+        witness = solve_assignment_bottleneck(prob) if params.p == math.inf else None
+        return prob.ground.tobytes(), prob.scale.hex(), prob.cost.tobytes(), witness
+
     refused = 0
     for q in (1.0, 1.5, 2.0, 3.0, math.inf):
-        params = MetricParams(2.0, q)
-        for x, y in pairs:
-            outcomes = []
-            for switch in (0, 13):  # numpy, then Python floats, at every size here
-                monkeypatch.setattr("pdg.matching.NUMPY_BUILD_FROM", switch)
-                try:
-                    outcomes.append(build_augmented_problem(x, y, params).ground.tobytes())
-                except ValidationError as exc:
-                    outcomes.append((type(exc), str(exc)))
-            assert outcomes[0] == outcomes[1], (len(x), len(y), q)
-            refused += isinstance(outcomes[0], tuple)
-    assert 0 < refused < len(pairs)
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            params = MetricParams(p, q)
+            for x, y in pairs:
+                outcomes = []
+                for switch in (0, 13):  # numpy, then Python floats, at every size here
+                    monkeypatch.setattr("pdg.matching.NUMPY_BUILD_FROM", switch)
+                    outcomes.append(built(x, y, params))
+                assert outcomes[0] == outcomes[1], (len(x), len(y), p, q)
+                refused += isinstance(outcomes[0][0], type)
+    assert 0 < refused < 5 * len(pairs)  # refusals depend on q alone: each counts once per p
 
 
 def test_the_hypot_port_is_math_hypot_bitwise():
@@ -480,6 +488,49 @@ def test_empty_empty():
     assert value == 0.0
     assert witness.assignment == ()
     assert witness.total == 0.0
+
+
+def test_an_empty_side_returns_the_solvers_matching_without_a_build(monkeypatch):
+    # against the empty diagram every point goes to the diagonal: distance
+    # returns that one matching directly, bitwise what the build and the
+    # solver give, in both argument orders, refusals included
+    rng = np.random.default_rng(79)
+    sides = [random_sized_pair(rng, n, 0)[0] for n in [*range(13), 400]] + [
+        Diagram.from_pairs([(0.0, 1.0), (-1.7e308, 1.7e308)]),  # refused at q = 1, 1.5, 2
+        Diagram.from_pairs([(-0.8e308, 0.8e308 + k * 1e293) for k in range(4)]),  # total refused at p = 1.5
+    ]
+    grid = [MetricParams(p, q) for p in (1.0, 1.5, 2.0, 3.0, math.inf) for q in (1.0, 1.5, 2.0, 3.0, math.inf)]
+
+    def outcome(call):
+        try:
+            value, m = call()
+        except ValidationError as exc:
+            return type(exc), str(exc)
+        return value.hex(), m.assignment, [g.hex() for g in m.grounds], m.total.hex()
+
+    def solved(y, params, swapped):
+        prob = build_augmented_problem(Diagram(), y, params)
+        m = solve_assignment_bottleneck(prob) if params.p == math.inf else solve_assignment_sum(prob)
+        m = m.inverse() if swapped else m
+        return m.total, m
+
+    expected = {(i, params, swapped): outcome(lambda: solved(y, params, swapped))
+                for i, y in enumerate(sides) for params in grid for swapped in (False, True)}
+    refusals = [e[1] for e in expected.values() if e[0] is ValidationError]
+    assert any(text.startswith("the diagonal distance of point") for text in refusals)
+    assert any(text.startswith("the distance at p = 1.5") for text in refusals)
+
+    def no_build(*args):
+        raise AssertionError("built an augmented problem")
+
+    monkeypatch.setattr("pdg.matching.build_augmented_problem", no_build)
+    for i, y in enumerate(sides):
+        for params in grid:
+            assert outcome(lambda: distance(Diagram(), y, params)) == expected[i, params, False], (len(y), params)
+            assert outcome(lambda: distance(y, Diagram(), params)) == expected[i, params, True], (len(y), params)
+    # the exhaustive oracle still builds, so it checks the shortcut independently
+    with pytest.raises(AssertionError, match="built an augmented problem"):
+        brute_force_distance(Diagram(), sides[3], grid[0])
 
 
 def test_wrong_solver_raises():

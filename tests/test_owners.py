@@ -117,11 +117,18 @@ def test_the_diagonal_copies_are_placed_in_one_place():
 
 
 def _is_finite_max(node) -> bool:
-    """A .max(...) call with a where= keyword: the largest finite ground."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "max"
-            and any(keyword.arg == "where" for keyword in node.keywords))
+    """The largest finite ground: a .max(...) call with a where= keyword, or
+    a max(...) call over a comprehension that filters its entries."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "max":
+        return any(keyword.arg == "where" for keyword in node.keywords)
+    return (isinstance(node.func, ast.Name) and node.func.id == "max"
+            and any(isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and any(gen.ifs for gen in arg.generators)
+                    for arg in node.args))
 
 
 def test_the_cost_scale_is_found_in_one_place():
-    # every solver, the p = inf witness included, reads it as AugmentedProblem.scale
+    # every solver, the p = inf witness included, reads it as AugmentedProblem.scale;
+    # a builtin max over filtered grounds would be a second owner too
     assert _places(_is_finite_max) == {"matching.build_augmented_problem"}
