@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         judge.add_argument("curve")
         _add_metric_flags(judge)
         # the only results that read the tolerance
-        judge.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+        judge.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance, relative above unit scale: "
+                           "a violation or residual passes at most tol * max(1, D), D the endpoint distance")
         _add_output_flags(judge, _run_judge)
 
     gal = sub.add_parser("gallery", help="emit a named example curve")

@@ -21,6 +21,16 @@ from .errors import ParameterDomainError, ParseError, StructuralError, Validatio
 
 DEFAULT_TOL = 1e-9
 
+
+def _within(excess: float, reference: float, tol: float) -> bool:
+    """Whether excess is within tol of a quantity of size reference:
+    excess <= tol * max(1, reference), so tol is absolute up to unit scale
+    and relative above it.  Every tolerance verdict in the package is taken
+    here.  An infinite or NaN excess fails it, even where the allowance
+    overflows to inf."""
+    return excess < math.inf and excess <= tol * max(1.0, reference)
+
+
 #: Exponent cap for the finite aggregation parameter.  Entries of the cost
 #: matrix are normalized before exponentiation, which keeps powers up to this
 #: cap well inside double range.
@@ -219,25 +229,19 @@ class Diagram:
             return Diagram._checked(self._coords + a, self._indices)
 
 
-def _checked_p(p) -> float:
-    """p as a float, refused unless it is a number in [1, inf]."""
+def _checked_exponent(name: str, value) -> float:
+    """The exponent called name (p or q) as a float, refused unless it is a
+    number in [1, inf]."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if float(p) >= 1.0:  # NaN fails it
-            return float(p)
-    raise ParameterDomainError(f"p must lie in [1, inf], got {p}")
-
-
-def _checked_q(q) -> float:
-    """q as a float, refused unless it is a number in [1, inf]."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if float(q) >= 1.0:  # NaN fails it
-            return float(q)
-    raise ParameterDomainError(f"q must lie in [1, inf], got {q}")
+        if float(value) >= 1.0:  # NaN fails it
+            return float(value)
+    raise ParameterDomainError(f"{name} must lie in [1, inf], got {value}")
 
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Aggregation exponent p, ground exponent q, and comparison tolerance."""
+    """Aggregation exponent p, ground exponent q, and comparison tolerance
+    tol, absolute up to unit scale and relative above it (see _within)."""
 
     p: float
     q: float
@@ -248,12 +252,12 @@ class MetricParams:
             p, q, tol = float(self.p), float(self.q), float(self.tol)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterDomainError(f"p, q and tol must be real numbers: {exc}") from exc
-        _checked_p(self.p)
+        _checked_exponent("p", self.p)
         if p != math.inf and p > MAX_FINITE_P:
             raise ParameterDomainError(
                 f"finite p is capped at {MAX_FINITE_P:g} (got {p:g}); use p=inf for the bottleneck case"
             )
-        _checked_q(self.q)
+        _checked_exponent("q", self.q)
         if not (tol > 0.0 and math.isfinite(tol)):
             raise ParameterDomainError(f"tol must be a positive finite real, got {self.tol}")
         object.__setattr__(self, "p", p)
@@ -280,7 +284,7 @@ def _qnorm(dx: float, dy: float, q: float) -> float:
 def ground_norm(v, q: float) -> float:
     """l^q norm of a 2-vector of real numbers, inf where an entry is; q may
     be inf."""
-    q = _checked_q(q)
+    q = _checked_exponent("q", q)
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -332,7 +336,7 @@ def diagonal_distance(point: Point, q: float) -> float:
     """Perpendicular l^q distance from a point to the diagonal, c times its
     persistence (see _diagonal_ground); ValidationError where that exceeds
     the float range."""
-    q = _checked_q(q)
+    q = _checked_exponent("q", q)
     return _diagonal_ground(point.birth, point.death, q, _diagonal_factor(q))
 
 

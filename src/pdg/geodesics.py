@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diagram import (
-    _NUMBER_TYPES, Diagram, MetricParams, _checked_p, _checked_q, _load_json, _midpoint,
-    _qnorm, diagram_from_dict, diagram_to_dict,
+    _NUMBER_TYPES, Diagram, MetricParams, _checked_exponent, _load_json, _midpoint, _qnorm,
+    _within, diagram_from_dict, diagram_to_dict,
 )
 from .errors import (
     ParameterDomainError,
@@ -246,7 +246,7 @@ def certify_geodesic(curve: SampledCurve, params: MetricParams) -> GeodesicCerti
             if violation > worst:
                 worst = violation
                 witness = (curve.times[a], curve.times[b], measured, expected)
-    ok = worst <= params.tol * max(1.0, endpoint)
+    ok = _within(worst, endpoint, params.tol)
     return GeodesicCertificate(ok, endpoint, worst, witness)
 
 
@@ -290,7 +290,7 @@ def _squeeze(curve: SampledCurve, params: MetricParams) -> GeodesicCertificate |
     # makes the allowance inf (or V nan), and the comparison refuses it.
     allowance = (3 * len(times) + 64) * 2.0**-53 * max(endpoint, total)
     bound = max(rise, fall + (total - endpoint)) + allowance
-    if bound <= params.tol * max(1.0, endpoint):
+    if _within(bound, endpoint, params.tol):
         return GeodesicCertificate(True, endpoint, bound, None)
     return None
 
@@ -303,7 +303,7 @@ def regime(p: float, q: float) -> str:
     "open": neither statement is established.
     A p or q outside [1, inf] is refused (MetricParams alone caps finite p).
     """
-    p, q = _checked_p(p), _checked_q(q)
+    p, q = _checked_exponent("p", p), _checked_exponent("q", q)
     if p == math.inf or (p == 1.0 and q == 1.0):
         return "counterexample"
     if p == q and p >= 2.0:
@@ -350,6 +350,7 @@ def classify_curve(curve: SampledCurve, params: MetricParams) -> CurveClassifica
     A certified curve is convex-combination when some optimal endpoint
     matching interpolates to within tol of every sampled frame, and deviant
     otherwise; the deviant witness reports the best matching's worst frame.
+    Within tol of D, the endpoint distance, means at most tol * max(1, D).
     """
     x = curve.frames[0]
     y = curve.frames[-1]
@@ -367,7 +368,7 @@ def classify_curve(curve: SampledCurve, params: MetricParams) -> CurveClassifica
             if measured > worst:
                 worst = measured
                 worst_time = t
-        if worst <= params.tol:
+        if _within(worst, certificate.endpoint_distance, params.tol):
             return CurveClassification("convex-combination", tag, certificate, matching=phi)
         if best_residual is None or worst < best_residual:
             best_residual = worst
@@ -381,19 +382,15 @@ def detect_branching(a: SampledCurve, b: SampledCurve, params: MetricParams) -> 
     """Largest sampled time up to which two geodesics agree before splitting.
 
     Returns None when the curves already differ at t = 0 or never differ at
-    all; agreement is measured by the diagram distance against params.tol.
+    all.  Frames agree within tol * max(1, E), E the larger endpoint distance.
     """
     if a.times != b.times:
         raise StructuralError("curves must share one time grid to compare branching")
-    split = None
+    reach = max(distance(c.frames[0], c.frames[-1], params)[0] for c in (a, b))
     for pos, (fa, fb) in enumerate(zip(a.frames, b.frames)):
-        measured, _ = distance(fa, fb, params)
-        if measured > params.tol:
-            split = pos
-            break
-    if split is None or split == 0:
-        return None
-    return a.times[split - 1]
+        if not _within(distance(fa, fb, params)[0], reach, params.tol):
+            return a.times[pos - 1] if pos else None
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .diagram import Diagram, MetricParams, _diagonal_factor, _diagonal_ground, _qnorm
+from .diagram import Diagram, MetricParams, _diagonal_factor, _diagonal_ground, _qnorm, _within
 from .errors import SizeGuardError, StructuralError, ValidationError, WrongSolverError
 
 #: Largest augmented problem size the factorial (enumeration) paths accept.
@@ -90,7 +90,10 @@ class Matching:
 
     def inverse(self) -> "Matching":
         """The same matching viewed from the other diagram's side."""
-        slots = _check_assignment(len(self.assignment), self.assignment)
+        return self._inverted(_check_assignment(len(self.assignment), self.assignment))
+
+    def _inverted(self, slots: tuple[int, ...]) -> "Matching":
+        """inverse() of a matching whose slots are known to be a bijection."""
         inv = [0] * len(slots)
         for i, j in enumerate(slots):
             inv[j] = i
@@ -566,7 +569,7 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
     """
     if y.multiset_key() < x.multiset_key():
         value, witness = distance(y, x, params)
-        return value, witness.inverse()
+        return value, witness._inverted(witness.assignment)  # a bijection _copy_rule built
     if len(x) == 0:
         q = params.q
         c = _diagonal_factor(q)
@@ -598,14 +601,16 @@ def _exhaust(x: Diagram, y: Diagram, params: MetricParams,
     objective of each (the sum of its cost entries for finite p, their
     maximum for p = inf) and the matching of the first that minimizes it.
     what names the caller in the size guard's message."""
-    n = len(x) + len(y)
+    nx, ny = len(x), len(y)
+    n = nx + ny
     if n > FACTORIAL_GUARD:
+        rows = sum(math.comb(nx, k) * math.perm(ny, k) for k in range(min(nx, ny) + 1))
         raise SizeGuardError(
-            f"{what} enumerates all {n}! slot permutations up to shuffles of the "
-            f"diagonal copies and accepts at most {FACTORIAL_GUARD} combined points (got {n})"
+            f"{what} would scan {rows} rows, one per geometric action of {nx} + {ny} points, "
+            f"and accepts at most {FACTORIAL_GUARD} combined points (got {n})"
         )
     prob = build_augmented_problem(x, y, params)
-    actions = _all_actions(len(x), len(y))
+    actions = _all_actions(nx, ny)
     selected = prob.cost[np.arange(n), actions]
     objective = selected.max(axis=1, initial=0.0) if params.p == math.inf else selected.sum(axis=1)
     return prob, actions, objective, _solved(prob, actions[int(np.argmin(objective))].tolist())
@@ -619,14 +624,21 @@ def brute_force_distance(x: Diagram, y: Diagram, params: MetricParams) -> float:
 def enumerate_optimal_matchings(x: Diagram, y: Diagram, params: MetricParams) -> list[Matching]:
     """All optimal matchings up to params.tol, one per geometric action in
     lexicographic order, each its action's slot permutation by _copy_rule.  An
-    action is kept where its objective is within the optimum's total plus tol,
-    taken into the objective's units, or within the objective's own rounding
-    (p + 2n ulps) of its least value."""
+    action is kept where its total is within tol of the optimum's total T,
+    at most tol * max(1, T) above it (diagram._within), or where its
+    objective is within the objective's own rounding (p + 2n ulps) of its
+    least value.  Actions are totalled in order of their objective up to the
+    first that neither keeps, or whose total is beyond the float range."""
     prob, actions, objective, best = _exhaust(x, y, params, "enumerate_optimal_matchings")
-    cutoff = best.total + params.tol
-    if params.p != math.inf:
-        # n costs of at most 1 a row: the cap at n keeps all rows and the power
-        # finite; where tol is below the rounding, the floor keeps the optimum
-        slack = 1.0 + (params.p + 2 * prob.n) * 2.0**-52
-        cutoff = max(min(cutoff / prob.scale, prob.n) ** params.p, float(objective.min()) * slack)
-    return [_solved(prob, row) for row in actions[objective <= cutoff].tolist()]
+    slack = 0.0 if params.p == math.inf else (params.p + 2 * prob.n) * 2.0**-52
+    floor = float(objective.min()) * (1.0 + slack)
+    kept = {}
+    for row in np.argsort(objective, kind="stable").tolist():
+        try:
+            m = _solved(prob, actions[row].tolist())
+        except ValidationError:  # a total beyond the float range is no optimum
+            break
+        if objective[row] > floor and not _within(m.total - best.total, best.total, params.tol):
+            break
+        kept[row] = m
+    return [kept[row] for row in sorted(kept)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import DEFAULT_TOL, Diagram, MetricParams
+from .diagram import DEFAULT_TOL, Diagram, MetricParams, _within
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
 from .matching import AugmentedProblem, Matching, _aggregate, _check_assignment, _exhaust, distance
 
@@ -87,7 +87,8 @@ def transport_cost(prob: AugmentedProblem, coupling: Coupling) -> float:
 
 @dataclass(frozen=True)
 class OtReport:
-    """Outcome of the exhaustive plan-versus-assignment comparison."""
+    """Outcome of the exhaustive plan-versus-assignment comparison; agree is
+    diagram._within(|difference|, assignment_value, DEFAULT_TOL)."""
 
     assignment_value: float
     coupling_min_value: float
@@ -105,7 +106,8 @@ def verify_ot_equivalence(x: Diagram, y: Diagram, p: float) -> OtReport:
     prob, _, _, best = _exhaust(x, y, params, "verify_ot_equivalence")
     assignment_value, _ = distance(x, y, params)
     coupling_min = transport_cost(prob, coupling_from_matching(best))
-    return OtReport(assignment_value, coupling_min, abs(assignment_value - coupling_min) <= DEFAULT_TOL)
+    agree = _within(abs(assignment_value - coupling_min), assignment_value, DEFAULT_TOL)
+    return OtReport(assignment_value, coupling_min, agree)
 
 
 def random_doubly_stochastic(rng: np.random.Generator, n: int) -> Coupling:

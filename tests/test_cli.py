@@ -15,7 +15,7 @@ import pdg.verification as verification
 from pdg import ParameterDomainError
 from pdg.cli import main
 from pdg.gallery import GALLERY_NAMES
-from pdg.geodesics import MAX_GRID, sample_gallery
+from pdg.geodesics import MAX_GRID, SampledCurve, sample_gallery
 from pdg.verification import SUITES, run_suite
 
 X_TEXT = '{"points": [[0, 10], [1, 9]]}'
@@ -358,6 +358,19 @@ def test_tol_reaches_certify_and_classify_only(tmp_path, capsys, diagram_files):
             main([*argv, "--tol", "1e300"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_classify_keeps_its_verdict_at_a_large_scale(tmp_path, capsys):
+    # mu_one scaled by 1e6, each interior frame nudged by about 2 ulps: its
+    # frame residuals grow with the coordinates, and tol grows with the
+    # endpoint distance above unit scale
+    curve = sample_gallery("mu_one", 33, k=10.0)
+    frames = [frame.scaled(1e6) for frame in curve.frames]
+    frames[1:-1] = [frame.scaled(1.0 + 4e-16) for frame in frames[1:-1]]
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(SampledCurve(curve.times, tuple(frames)).to_dict()))
+    assert main(["classify", str(path), "--p", "1", "--q", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "convex-combination"
 
 
 def test_verify_all_seed_0_stdout_is_pinned(capsys):

@@ -292,6 +292,55 @@ def test_detect_branching_requires_shared_grid():
         detect_branching(a, b, MetricParams(1.0, 1.0))
 
 
+#: Scales that are no powers of two, so the scaled coordinates round.
+SCALES = (1.0, 1e3, 1e6, 1e12)
+
+
+def _at_scale(curve, s, nudge=1.0 + 4e-16):
+    """The curve with every frame scaled by s and each interior frame's
+    coordinates also multiplied by nudge, about 2 ulps."""
+    frames = [frame.scaled(s) for frame in curve.frames]
+    frames[1:-1] = [frame.scaled(nudge) for frame in frames[1:-1]]
+    return SampledCurve(curve.times, tuple(frames))
+
+
+def test_verdicts_do_not_depend_on_the_diagrams_scale():
+    # tol is relative above unit scale, so rounding that grows with the
+    # coordinates can flip no classify kind and move no branching time
+    rng = np.random.default_rng(31)
+    for p, q in ((2.0, 2.0), (3.0, 3.0), (1.5, 2.0), (1.0, 1.0), (math.inf, 2.0), (2.0, 1.0),
+                 (math.inf, math.inf)):
+        params = MetricParams(p, q)
+        for _ in range(10):
+            x, y = random_diagram(rng, 3), random_diagram(rng, 3)
+            for s in SCALES:
+                ends = x.scaled(s), y.scaled(s)
+                curve = _at_scale(sample_convex_combination(*ends, distance(*ends, params)[1], 9), 1.0)
+                outcome = classify_curve(curve, params)
+                # a certified convex combination, never deviant, in every cell
+                assert (outcome.kind, outcome.certificate.ok) == ("convex-combination", True), (p, q, s)
+    one = MetricParams(1.0, 1.0)
+    # sending x's point to y's costs 4 + 2^-35, both to the diagonal 4: a
+    # curve along an action that the enumeration keeps within tol of the optimum
+    x, y = Diagram.from_pairs([(0.0, 2.0)]), Diagram.from_pairs([(2.0 + 2.0**-36, 4.0 + 2.0**-36)])
+    near = sample_convex_combination(x, y, matching_from_assignment(x, y, (0, 1), one), 9)
+    assert classify_curve(near, one).kind == "convex-combination"
+    gallery = {name: sample_gallery(name, 9, **kwargs) for name, kwargs in GALLERY_KWARGS.items()}
+    curves = [(near, one), (gallery["mu_one"], one), (gallery["nu_r_one"], one)]
+    curves += [(gallery[name], MetricParams(math.inf, q)) for name in ("mu_infty", "nu_infty", "omega_infty")
+               for q in GRID_Q]
+    for curve, params in curves:
+        kinds = {classify_curve(_at_scale(curve, s), params).kind for s in SCALES}
+        assert kinds == {classify_curve(curve, params).kind}, (curve.frames[0], params)
+    nu_r = {r: sample_gallery("nu_r_one", 9, k=10.0, r=r) for r in (0.0, 0.5, 1.0)}
+    for r, other, split in ((0.0, 0.5, 0.5), (0.0, 1.0, 0.5), (0.5, 1.0, 0.75)):
+        assert detect_branching(nu_r[r], nu_r[other], one) == split
+        for s in SCALES:
+            # the two curves' shared frames nudged apart, by 2 ulps each way
+            a, b = _at_scale(nu_r[r], s), _at_scale(nu_r[other], s, 1.0 - 4e-16)
+            assert detect_branching(a, b, one) == split, (r, other, s)
+
+
 def test_parse_curve_round_trip():
     curve = sample_gallery("nu_r_one", 9, k=10.0, r=0.5)
     text = json.dumps(curve.to_dict())

@@ -53,6 +53,7 @@ from pdg.matching import (
     _reduced_partners,
     _solved,
 )
+from test_cli import DIST_GRID_PAIRS
 
 # augmented ground matrix for the four point configuration at q = 1: rows are
 # the two off-diagonal points of X then one diagonal copy per point of Y,
@@ -533,6 +534,30 @@ def test_an_empty_side_returns_the_solvers_matching_without_a_build(monkeypatch)
         brute_force_distance(Diagram(), sides[3], grid[0])
 
 
+def test_a_swapped_order_returns_the_inverse_of_the_canonical_witness():
+    # distance inverts the witness it built for the other order without
+    # checking it again: exactly Matching.inverse(), assignment, grounds and
+    # total, or the same refusal
+    rng = np.random.default_rng(83)
+    pairs = [tuple(map(Diagram.from_pairs, pair)) for pair in DIST_GRID_PAIRS]
+    sizes = [(0, 0), (0, 7), (13, 40), (50, 50), *rng.integers(0, 51, (8, 2)).tolist()]
+    pairs += [random_sized_pair(rng, nx, ny) for nx, ny in sizes]
+    grid = [MetricParams(p, q) for p in (1.0, 1.5, 2.0, 3.0, math.inf) for q in (1.0, 1.5, 2.0, 3.0, math.inf)]
+    for x, y in pairs:
+        for params in grid:
+            try:
+                value, witness = distance(x, y, params)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                    distance(y, x, params)
+                continue
+            back, inverse = distance(y, x, params)
+            assert (back.hex(), inverse) == (value.hex(), witness.inverse()), (len(x), len(y), params)
+            # and that inverse is the inverse permutation, repriced from the diagrams
+            assert [witness.assignment[j] for j in inverse.assignment] == list(range(len(x) + len(y)))
+            assert inverse.grounds == matching_from_assignment(y, x, inverse.assignment, params).grounds
+
+
 def test_wrong_solver_raises():
     x, y = four_point_pair()
     with pytest.raises(WrongSolverError):
@@ -607,9 +632,11 @@ def test_enumeration_empty():
 
 def test_size_guard():
     big = Diagram.from_pairs([(float(i), float(i) + 1.0) for i in range(5)])
-    with pytest.raises(SizeGuardError, match=r"^brute_force_distance enumerates all 10! slot"):
+    # the sum over k of C(5, k) * 5! / (5 - k)!, counted, not built
+    text = r"would scan 1546 rows, one per geometric action of 5 \+ 5 points, and accepts at most 9 "
+    with pytest.raises(SizeGuardError, match=rf"^brute_force_distance {text}"):
         brute_force_distance(big, big, MetricParams(2.0, 2.0))
-    with pytest.raises(SizeGuardError, match=r"^enumerate_optimal_matchings enumerates all 10! slot"):
+    with pytest.raises(SizeGuardError, match=rf"^enumerate_optimal_matchings {text}"):
         enumerate_optimal_matchings(big, big, MetricParams(2.0, 2.0))
     # the empty pair is the smallest input the guard lets through
     assert brute_force_distance(Diagram(), Diagram(), MetricParams(2.0, 2.0)) == 0.0
@@ -647,7 +674,8 @@ def reference_optimal_matchings(x, y, params):
         values = selected.max(axis=1)
     else:
         values = prob.scale * selected.sum(axis=1) ** (1.0 / params.p)
-    kept = perms[(values <= float(values.min()) + params.tol) & canonical_copies(perms, nx, ny)]
+    best = float(values.min())
+    kept = perms[(values - best <= params.tol * max(1.0, best)) & canonical_copies(perms, nx, ny)]
     return [matching_from_assignment(x, y, perm, params) for perm in kept]
 
 
@@ -673,14 +701,14 @@ def reference_ot(x, y, p, tol=1e-9):
     value, _ = distance(x, y, params)
     n = len(x) + len(y)
     if n == 0:
-        return OtReport(value, 0.0, abs(value) <= tol)
+        return OtReport(value, 0.0, abs(value) <= tol * max(1.0, value))
     prob = build_augmented_problem(x, y, params)
     perms = reference_permutations(n)
     best = perms[int(np.argmin(prob.cost[np.arange(n)[None, :], perms].sum(axis=1)))]
     matrix = np.zeros((n, n))
     matrix[np.arange(n), best] = 1.0
     coupling_min = reference_transport_cost(prob, matrix, p)
-    return OtReport(value, coupling_min, abs(value - coupling_min) <= tol)
+    return OtReport(value, coupling_min, abs(value - coupling_min) <= tol * max(1.0, value))
 
 
 def test_exhaustive_oracles_match_independent_scans():
@@ -757,7 +785,8 @@ def test_the_exhaustive_oracles_gather_under_a_mebibyte_at_nine_points():
 def test_exhaustive_oracles_stay_quiet_near_the_float_range(tmp_path, capsys):
     # every permutation that sends a point to the diagonal costs about the
     # float range, and an l^p total of its objective would overflow: the
-    # optimum is taken once, and the cutoff is compared in objective units
+    # enumeration totals the rows in order of objective, and the first
+    # total beyond the float range ends its scan, quietly
     rows = [(-8.5e307, 8.5e307)] * 2
     x, y = Diagram.from_pairs(rows), Diagram.from_pairs(rows)
     for p in GRID_P:
@@ -794,6 +823,15 @@ def test_the_optimum_is_kept_where_tol_is_below_the_rounding_gap():
         assert [geometric_action(m, 1) for m in found] == [(-1,)]
         curve = sample_convex_combination(x, y, found[0], 9)
         assert classify_curve(curve, params).kind == "convex-combination"
+    # on the 0.1 lattice, actions tied in exact arithmetic total apart by a
+    # rounding; at tol = 1e-300, below it, the floor of p + 2n ulps over the
+    # least objective keeps each of them, as the default tol does
+    x = Diagram.from_pairs([(0, 3), (3, 6)]).scaled(0.1)
+    y = Diagram.from_pairs([(0, 1), (2, 4)]).scaled(0.1)
+    for p in (1.0, 1.5):
+        found = [m.assignment for m in enumerate_optimal_matchings(x, y, MetricParams(p, math.inf, 1e-300))]
+        assert found == [m.assignment for m in enumerate_optimal_matchings(x, y, MetricParams(p, math.inf))]
+        assert len(found) > 1
 
 
 def test_exact_ties_are_kept_at_any_scale():
@@ -813,14 +851,17 @@ def test_exact_ties_are_kept_at_any_scale():
 
 
 def test_a_tolerance_beyond_every_objective_keeps_every_finite_permutation():
-    # the cutoff in objective units is capped, so its p-th power stays finite
-    # however large tol is, and every action is optimal up to such a tol
+    # tol * max(1, T) may exceed every total, and every action is optimal up
+    # to such a tol; one whose real pair's ground overflows to +inf is not,
+    # even where tol * max(1, T) overflows too
     x, y = random_sized_pair(np.random.default_rng(5), 2, 2)
+    far = Diagram.from_pairs([(-9.5e307, -9.4e307)]), Diagram.from_pairs([(9.5e307, 9.8e307)])
     for p, tol in ((64.0, 1e5), (2.0, 1e300), (1.0, 1e300), (math.inf, 1e300)):
         params = MetricParams(p, 2.0, tol)
         found = enumerate_optimal_matchings(x, y, params)
         assert found == reference_optimal_matchings(x, y, params)
         assert len(found) == 7  # the partial matchings of two points against two
+        assert [geometric_action(m, 1) for m in enumerate_optimal_matchings(*far, params)] == [(-1,)]
 
 
 def test_bottleneck_witness_is_the_least_ground_sum_under_the_value():

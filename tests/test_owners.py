@@ -4,10 +4,10 @@ diagram._load_json, stdout is written in cli._emit, the diagonal factor
 of a point whose persistence overflows, c * death - c * birth, in
 diagram._diagonal_ground and its numpy twin matching._diagonal_grounds, the
 exhaustive optimum is picked in matching._exhaust, the l^p root is taken in
-matching._aggregate, the diagonal copies are placed in matching._copy_rule,
-and the cost scale, the largest finite ground, is found in
-matching.build_augmented_problem.  No enumeration of all n! slot
-permutations is left."""
+matching._aggregate, every tolerance verdict is taken in diagram._within,
+the diagonal copies are placed in matching._copy_rule, and the cost scale,
+the largest finite ground, is found in matching.build_augmented_problem.
+No enumeration of all n! slot permutations is left."""
 
 import ast
 from pathlib import Path
@@ -91,6 +91,29 @@ def test_the_exhaustive_optimum_is_picked_in_one_place():
 
 def test_the_lp_root_is_taken_in_one_place():
     assert _places(_is_lp_root) == {"matching._aggregate"}
+
+
+def _reads_tol(node) -> bool:
+    """A comparison or an arithmetic step that reads tol, DEFAULT_TOL or
+    an attribute .tol such as params.tol."""
+    return isinstance(node, (ast.Compare, ast.BinOp, ast.AugAssign)) and any(
+        (isinstance(n, ast.Name) and n.id in ("tol", "DEFAULT_TOL"))
+        or (isinstance(n, ast.Attribute) and n.attr == "tol") for n in ast.walk(node))
+
+
+def _calls_within(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_within"
+
+
+def test_every_tolerance_verdict_goes_through_within():
+    # excess <= tol * max(1, reference) is written once; MetricParams only
+    # refuses a tol that is not a positive finite real
+    assert _places(_reads_tol) == {"diagram._within", "diagram.__post_init__"}
+    assert _places(_calls_within) == {
+        "geodesics.certify_geodesic", "geodesics._squeeze", "geodesics.classify_curve",
+        "geodesics.detect_branching", "matching.enumerate_optimal_matchings",
+        "ot.verify_ot_equivalence", "verification.metric_checks",
+    }
 
 
 def _is_factorial_enumeration(node) -> bool:
