@@ -61,6 +61,8 @@ def _check_point(birth, death) -> tuple[float, float]:
         d = float(death)
     except OverflowError as exc:
         raise ValidationError(f"point coordinates must fit in a float: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"point coordinates must be real numbers, got ({birth!r}, {death!r})") from exc
     if not (math.isfinite(b) and math.isfinite(d)):
         raise ValidationError(f"point ({birth}, {death}) has non-finite coordinates")
     if not d > b:
@@ -168,7 +170,10 @@ class Diagram:
         """Build a diagram from (birth, death) or (birth, death, index) rows."""
         pts = []
         for pos, row in enumerate(pairs):
-            row = tuple(row)
+            try:
+                row = tuple(row)
+            except TypeError:
+                raise ValidationError(f"row {pos} is not a sequence: {row!r}") from None
             if len(row) not in (2, 3):
                 raise ValidationError(f"row {pos} has {len(row)} entries, expected 2 or 3")
             pts.append(Point(*row) if len(row) == 3 else Point(*row, pos))
@@ -236,6 +241,25 @@ def _checked_exponent(name: str, value) -> float:
         if float(value) >= 1.0:  # NaN fails it
             return float(value)
     raise ParameterDomainError(f"{name} must lie in [1, inf], got {value}")
+
+
+def _checked_count(name: str, value) -> int:
+    """The count called name as an int, refused unless operator.index takes it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterDomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_time(name: str, value, open_interval: bool = False) -> float:
+    """The time called name as a float, refused unless it is a number in
+    [0, 1], or in (0, 1) where open_interval is set."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        value = float(value)
+        if 0.0 < value < 1.0 or not open_interval and 0.0 <= value <= 1.0:  # NaN fails both
+            return value
+    interval = "strictly inside (0, 1)" if open_interval else "in [0, 1]"
+    raise ParameterDomainError(f"{name} must lie {interval}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,10 @@ from __future__ import annotations
 
 import math
 
-from .diagram import Diagram, Point
+from .diagram import Diagram, Point, _checked_time
 from .errors import ParameterDomainError
 
 GALLERY_NAMES = ("mu_infty", "nu_infty", "omega_infty", "mu_one", "nu_r_one")
-
-
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise ParameterDomainError(f"curve time must lie in [0, 1], got {t}")
-    return t
 
 
 def _check_tall_low(k: float, low: float, low_name: str) -> tuple[float, float]:
@@ -63,7 +56,7 @@ def _tall_track(k: float, t: float) -> tuple[float, float]:
 
 def _absorbed_low(k: float, low: float, low_name: str, t: float) -> Diagram:
     k, low = _check_tall_low(k, low, low_name)
-    t = _check_time(t)
+    t = _checked_time("curve time", t)
     pts = [(*_tall_track(k, t), 0)]
     if t < 1.0 / 3.0:
         pts.append((1.5 * low * t, 0.5 * low * (2.0 - 3.0 * t), 1))
@@ -80,7 +73,7 @@ def nu_infty(k: float, l: float, t: float) -> Diagram:
 
 def omega_infty(k: float, j: float, t: float) -> Diagram:
     k, j = _check_tall_low(k, j, "j")
-    t = _check_time(t)
+    t = _checked_time("curve time", t)
     pts = [(*_tall_track(k, t), 0)]
     if t <= 0.5:
         pts.append((j * (0.5 - t), j * (0.5 + t), 1))
@@ -100,7 +93,7 @@ def _check_mu_one_k(k: float) -> float:
 
 def mu_one(k: float, t: float) -> Diagram:
     k = _check_mu_one_k(k)
-    t = _check_time(t)
+    t = _checked_time("curve time", t)
     if t <= 0.5:
         pts = [(2.0 * t, k, 0), (1.0, k - 1.0 + 2.0 * t, 1)]
     else:
@@ -113,7 +106,7 @@ def nu_r_one(k: float, r: float, t: float) -> Diagram:
     r = float(r)
     if not (0.0 <= r <= 1.0):
         raise ParameterDomainError(f"requires r in [0, 1], got r = {r:g}")
-    t = _check_time(t)
+    t = _checked_time("curve time", t)
     if t <= 0.5:
         return mu_one(k, t)
     arc = 2.0 * (t - 0.5)

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diagram import (
-    _NUMBER_TYPES, Diagram, MetricParams, _checked_exponent, _load_json, _midpoint, _qnorm,
-    _within, diagram_from_dict, diagram_to_dict,
+    _NUMBER_TYPES, Diagram, MetricParams, _checked_count, _checked_exponent, _checked_time, _load_json,
+    _midpoint, _qnorm, _within, diagram_from_dict, diagram_to_dict,
 )
 from .errors import (
     ParameterDomainError,
@@ -47,6 +47,7 @@ MAX_GRID = 2**16 + 1
 
 def uniform_grid(count: int = DEFAULT_GRID) -> tuple[float, ...]:
     """count evenly spaced times from 0 to 1 inclusive."""
+    count = _checked_count("a time grid's sample count", count)
     if count < 2:
         raise ParameterDomainError(f"a time grid needs at least 2 samples, got {count}")
     if count > MAX_GRID:
@@ -164,9 +165,7 @@ def convex_combination(x: Diagram, y: Diagram, m: Matching, t: float) -> Diagram
     Coincident points that end up sharing an index are told apart by giving
     each later one the next index above the largest in the frame.
     """
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise ParameterDomainError(f"interpolation time must lie in [0, 1], got {t}")
+    t = _checked_time("interpolation time", t)
     legs = _legs(x, y, m)
     coords = []
     raw = []
@@ -438,9 +437,7 @@ def characterization_audit(x: Diagram, y: Diagram, m: Matching, mid: Diagram,
         raise UnsupportedRegimeError(
             f"audit supports p = q in [2, inf) or q = 2 with p in [2, inf); got p = {p:g}, q = {q:g}"
         )
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise ParameterDomainError(f"audit time must lie strictly inside (0, 1), got {t}")
+    t = _checked_time("audit time", t, open_interval=True)
 
     legs = _legs(x, y, m)
     positions = _at(legs, t)

@@ -21,8 +21,10 @@ lanes.  At
 finite p, from BLOCKWISE_POWER_FROM pairs on, the p-th power is taken over
 the distinct costs only.  A solver reads its witness's grounds back from
 the matrix it solved; matching_cost reprices a given matching from the
-diagrams alone.  Both total the grounds by one l^p sum, _aggregate, which
-refuses a finite total beyond the float range at every finite p.
+diagrams alone, by the scalar rule and apart from either build
+(_slot_grounds), so repricing a witness checks its build bitwise.  Both
+total the grounds by one l^p sum, _aggregate, which refuses a finite total
+beyond the float range at every finite p.
 
 For finite p the solver minimizes the sum of p-th powers (a Hungarian-style
 O(n^3) method).  From REDUCED_FROM points on each side it solves a reduced
@@ -228,7 +230,7 @@ def _real_grounds(xs: np.ndarray, ys: np.ndarray, q: float) -> np.ndarray:
     last bit on some entries, and a witness must reprice to its value exactly
     and a bottleneck value be an entry of an independently built matrix.
     Near +-1e308 a difference overflows, and its norm is +inf at every q; the
-    callers price it, and run this and _diagonal_grounds under one
+    numpy build alone calls this and _diagonal_grounds, under one
     np.errstate that silences numpy's overflow warnings."""
     ax = np.abs(xs[..., 0] - ys[..., 0])
     ay = np.abs(xs[..., 1] - ys[..., 1])
@@ -355,27 +357,22 @@ def _check_assignment(n: int, assignment) -> tuple[int, ...]:
     raise StructuralError("assignment is not a permutation of the right slots")
 
 
+def _slot_grounds(xs: list, ys: list, slots: tuple[int, ...], q: float) -> tuple[float, ...]:
+    """The grounds of slots, a bijection of the augmented slots of the
+    (birth, death) rows xs and ys, by the scalar rule: a real pair's _qnorm,
+    the _diagonal_ground of a point sent to or fed from the diagonal (the
+    first refused names the error), and 0 for two copies."""
+    ny = len(ys)
+    c = _diagonal_factor(q)
+    grounds = [_qnorm(b - ys[j][0], d - ys[j][1], q) if j < ny else _diagonal_ground(b, d, q, c)
+               for (b, d), j in zip(xs, slots)]
+    return (*grounds, *(_diagonal_ground(*ys[j], q, c) if j < ny else 0.0 for j in slots[len(xs):]))
+
+
 def _assignment_grounds(x: Diagram, y: Diagram, assignment, q: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The checked slots of an assignment and its n selected entries of the
-    ground matrix, computed without building it."""
-    nx = len(x)
-    ny = len(y)
-    slots = _check_assignment(nx + ny, assignment)
-    xs = x.geometry()
-    ys = y.geometry()
-    cols = np.array(slots, dtype=np.intp)
-    grounds = np.zeros(len(cols))
-    # a point of X goes to its partner in Y, or else to the diagonal
-    partner = cols[:nx]
-    real = partner < ny
-    with np.errstate(over="ignore"):
-        grounds[:nx] = _diagonal_grounds(xs, q)
-        grounds[:nx][real] = _real_grounds(xs[real], ys[partner[real]], q)
-        # a diagonal copy takes a point of Y to the diagonal, or else another copy
-        partner = cols[nx:]
-        real = partner < ny
-        grounds[nx:][real] = _diagonal_grounds(ys[partner[real]], q)
-    return slots, tuple(grounds.tolist())
+    """The checked slots of an assignment and their _slot_grounds."""
+    slots = _check_assignment(len(x) + len(y), assignment)
+    return slots, _slot_grounds(x.geometry().tolist(), y.geometry().tolist(), slots, q)
 
 
 def _aggregate(grounds, p: float, weights=None) -> float:
@@ -571,10 +568,9 @@ def distance(x: Diagram, y: Diagram, params: MetricParams) -> tuple[float, Match
         value, witness = distance(y, x, params)
         return value, witness._inverted(witness.assignment)  # a bijection _copy_rule built
     if len(x) == 0:
-        q = params.q
-        c = _diagonal_factor(q)
-        grounds = tuple(_diagonal_ground(birth, death, q, c) for birth, death in y.geometry().tolist())
-        m = Matching(tuple(_copy_rule([], 0, len(y))), grounds, _aggregate(grounds, params.p))
+        slots = tuple(_copy_rule([], 0, len(y)))
+        grounds = _slot_grounds([], y.geometry().tolist(), slots, params.q)
+        m = Matching(slots, grounds, _aggregate(grounds, params.p))
         return m.total, m
     prob = build_augmented_problem(x, y, params)
     if params.p == math.inf:
@@ -589,9 +585,10 @@ def _all_actions(nx: int, ny: int) -> np.ndarray:
     """One row per geometric action, in lexicographic order of the actions
     (the diagonal last): its slot permutation by _copy_rule.  An action whose
     real targets repeat has no row."""
-    actions = itertools.product(range(ny + 1), repeat=nx)  # ny: the diagonal
-    return np.array([_copy_rule(action, nx, ny) for action in actions
-                     if len(set(action) - {ny}) == nx - action.count(ny)], dtype=np.int64)
+    actions = [()]
+    for _ in range(nx):  # each point of X takes a free point of Y, or ny: the diagonal
+        actions = [(*action, j) for action in actions for j in range(ny + 1) if j == ny or j not in action]
+    return np.array([_copy_rule(action, nx, ny) for action in actions], dtype=np.int64)
 
 
 def _exhaust(x: Diagram, y: Diagram, params: MetricParams,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import DEFAULT_TOL, Diagram, MetricParams, _within
+from .diagram import DEFAULT_TOL, Diagram, MetricParams, _checked_count, _within
 from .errors import InvalidCouplingError, ParameterDomainError, StructuralError
 from .matching import AugmentedProblem, Matching, _aggregate, _check_assignment, _exhaust, distance
 
@@ -62,6 +62,15 @@ def coupling_from_matching(m: Matching) -> Coupling:
     return Coupling(matrix)
 
 
+def _check_transport_params(params: MetricParams) -> None:
+    """ParameterDomainError unless params price a transport plan: q = 2 and
+    finite p."""
+    if params.q != 2.0:
+        raise ParameterDomainError(f"transport costs are defined for q = 2 only, got q = {params.q:g}")
+    if params.p == math.inf:
+        raise ParameterDomainError("transport costs are defined for finite p only, got p = inf")
+
+
 def transport_cost(prob: AugmentedProblem, coupling: Coupling) -> float:
     """(sum_ij ground_ij^p * gamma_ij)^(1/p) at the problem's own p, Euclidean ground.
 
@@ -70,19 +79,13 @@ def transport_cost(prob: AugmentedProblem, coupling: Coupling) -> float:
     the matching total exactly and a total beyond the float range is refused
     alike.
     """
-    if prob.params.q != 2.0:
-        raise ParameterDomainError(
-            f"transport costs are defined for q = 2 only, got q = {prob.params.q:g}"
-        )
-    p = prob.params.p
-    if p == math.inf:
-        raise ParameterDomainError("transport costs are defined for finite p only, got p = inf")
+    _check_transport_params(prob.params)
     if coupling.n != prob.n:
         raise StructuralError(
             f"coupling has {coupling.n} slots but the problem defines {prob.n}"
         )
     support = np.nonzero(coupling.matrix > 0.0)
-    return _aggregate(prob.ground[support].tolist(), p, coupling.matrix[support].tolist())
+    return _aggregate(prob.ground[support].tolist(), prob.params.p, coupling.matrix[support].tolist())
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,10 @@ def verify_ot_equivalence(x: Diagram, y: Diagram, p: float) -> OtReport:
     Permutations are the doubly stochastic polytope's extreme points and the
     p-th power cost is affine in the plan, so the least permutation plan, one
     per geometric action from the exhaustive scan, is the infimum over all plans.
+    p = inf is refused, as transport_cost refuses it, before anything is built.
     """
     params = MetricParams(p, 2.0)
+    _check_transport_params(params)
     prob, _, _, best = _exhaust(x, y, params, "verify_ot_equivalence")
     assignment_value, _ = distance(x, y, params)
     coupling_min = transport_cost(prob, coupling_from_matching(best))
@@ -118,6 +123,7 @@ def random_doubly_stochastic(rng: np.random.Generator, n: int) -> Coupling:
     The weights are drawn uniform in [0.05, 1] and normalised to sum 1, which
     puts every row and column sum at 1 up to rounding.
     """
+    n = _checked_count("plan size", n)
     if n <= 0:
         raise ParameterDomainError(f"plan size must be positive, got {n}")
     weights = rng.uniform(0.05, 1.0, size=n)

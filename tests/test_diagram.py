@@ -15,13 +15,20 @@ from pdg import (
     Point,
     StructuralError,
     ValidationError,
+    characterization_audit,
+    convex_combination,
     diagonal_distance,
     diagonal_projection,
     diagram_to_dict,
+    distance,
+    gallery_frame,
     ground_norm,
     parse_diagram,
     parse_extended,
+    random_doubly_stochastic,
+    sample_convex_combination,
     serialize_diagram,
+    uniform_grid,
 )
 from pdg.diagram import diagram_from_dict
 
@@ -380,3 +387,43 @@ def test_parse_matches_the_row_by_row_reference():
             assert got.geometry().tobytes() == coords.tobytes(), rows
             assert [p.index for p in got.points] == [p.index for p in expected], rows
             assert got == Diagram(tuple(expected))
+
+
+_X, _Y = Diagram.from_pairs([(0.0, 1.0)]), Diagram.from_pairs([(0.0, 2.0)])
+_WITNESS = distance(_X, _Y, MetricParams(2.0, 2.0))[1]
+_BAD_INPUTS = {
+    # counts that operator.index refuses
+    "grid-float": (lambda: uniform_grid(5.0), ParameterDomainError,
+                   "a time grid's sample count must be an integer, got 5.0"),
+    "grid-str": (lambda: uniform_grid("5"), ParameterDomainError,
+                 "a time grid's sample count must be an integer, got '5'"),
+    "sampled-grid": (lambda: sample_convex_combination(_X, _Y, _WITNESS, grid=3.0), ParameterDomainError,
+                     "a time grid's sample count must be an integer, got 3.0"),
+    "plan-size": (lambda: random_doubly_stochastic(np.random.default_rng(0), 2.5), ParameterDomainError,
+                  "plan size must be an integer, got 2.5"),
+    # coordinates that float() refuses, and a row that is no sequence
+    "row": (lambda: Diagram.from_pairs([5]), ValidationError, "row 0 is not a sequence: 5"),
+    "point": (lambda: Point("a", 1), ValidationError, "point coordinates must be real numbers, got ('a', 1)"),
+    "pair": (lambda: Diagram.from_pairs([[0, "a"]]), ValidationError,
+             "point coordinates must be real numbers, got (0, 'a')"),
+    # curve times, non-numeric and out of range alike, with the messages numbers always had
+    "interpolation-str": (lambda: convex_combination(_X, _Y, _WITNESS, "a"), ParameterDomainError,
+                          "interpolation time must lie in [0, 1], got a"),
+    "interpolation-out": (lambda: convex_combination(_X, _Y, _WITNESS, -0.25), ParameterDomainError,
+                          "interpolation time must lie in [0, 1], got -0.25"),
+    "curve-none": (lambda: gallery_frame("mu_infty", None), ParameterDomainError,
+                   "curve time must lie in [0, 1], got None"),
+    "curve-out": (lambda: gallery_frame("mu_infty", 2), ParameterDomainError, "curve time must lie in [0, 1], got 2.0"),
+    "audit-str": (lambda: characterization_audit(_X, _Y, _WITNESS, _X, _WITNESS, "x", MetricParams(2.0, 2.0)),
+                  ParameterDomainError, "audit time must lie strictly inside (0, 1), got x"),
+    "audit-end": (lambda: characterization_audit(_X, _Y, _WITNESS, _X, _WITNESS, 1, MetricParams(2.0, 2.0)),
+                  ParameterDomainError, "audit time must lie strictly inside (0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_a_bad_count_coordinate_or_time_raises_the_packages_own_error(case):
+    call, error, text = _BAD_INPUTS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text

@@ -915,6 +915,23 @@ def test_matching_through_an_overflowing_pair_costs_inf():
                 assert matching_cost(x, y, identity, MetricParams(p, q)) == math.inf
 
 
+def test_a_paired_point_beyond_the_diagonal_range_prices_to_its_total():
+    # at q = 1 the tall point's diagonal distance exceeds the float range, so
+    # no distance is taken; a matching that pairs it never prices that
+    # distance, and one that sends it to the diagonal is refused naming it
+    tall = (-1e308, 1e308)
+    x = Diagram.from_pairs([(0.0, 1.0), tall])
+    y = Diagram.from_pairs([(0.0, 2.0), (-5e307, 1e308)])
+    params = MetricParams(2.0, 1.0)
+    paired = matching_from_assignment(x, y, (0, 1, 2, 3), params)
+    assert paired.grounds == (1.0, 5e307, 0.0, 0.0)
+    # 1.0 vanishes beside the second ground in the l^2 sum
+    assert paired.total == matching_cost(x, y, paired, params) == 5e307
+    for refused in (lambda: distance(x, y, params), lambda: matching_cost(x, y, Matching((0, 3, 2, 1), (), 0.0), params)):
+        with pytest.raises(ValidationError, match=r"^the diagonal distance of point \(-1e\+308, 1e\+308\) at q = 1 "):
+            refused()
+
+
 def test_overflowing_persistence_keeps_a_finite_diagonal_distance(tmp_path, capsys):
     # death - birth overflows, yet at q = 2 and inf c * death - c * birth fits;
     # the second point keeps the finite c * (death - birth)

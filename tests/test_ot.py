@@ -145,6 +145,20 @@ def test_verify_ot_equivalence_guard():
         assert verify_ot_equivalence(Diagram(), Diagram(), p) == OtReport(0.0, 0.0, True)
 
 
+def test_verify_ot_equivalence_refuses_p_inf_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("scanned or solved")
+
+    monkeypatch.setattr("pdg.ot._exhaust", no_work)
+    monkeypatch.setattr("pdg.ot.distance", no_work)
+    monkeypatch.setattr("pdg.matching.build_augmented_problem", no_work)
+    for n in (2, 6):  # 6 + 6 points exceed the exhaustive scan's size guard
+        x = Diagram.from_pairs([(float(i), float(i) + 1.0) for i in range(n)])
+        with pytest.raises(ParameterDomainError) as info:
+            verify_ot_equivalence(x, x, math.inf)
+        assert str(info.value) == "transport costs are defined for finite p only, got p = inf"
+
+
 def test_uniform_plan_spreads_mass_off_the_optimum():
     twin = Diagram.from_pairs([(0.0, 2.0), (1.0, 4.0)])
     prob = build_augmented_problem(twin, twin, MetricParams(2.0, 2.0))

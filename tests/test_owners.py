@@ -2,7 +2,9 @@
 diagram._load_json, stdout is written in cli._emit, the diagonal factor
 2^(1/q - 1) is computed in diagram._diagonal_factor, the diagonal distance
 of a point whose persistence overflows, c * death - c * birth, in
-diagram._diagonal_ground and its numpy twin matching._diagonal_grounds, the
+diagram._diagonal_ground and its numpy twin matching._diagonal_grounds, a
+given matching is priced by the scalar rule in matching._slot_grounds (the
+numpy kernel serving matching.build_augmented_problem alone), the
 exhaustive optimum is picked in matching._exhaust, the l^p root is taken in
 matching._aggregate, every tolerance verdict is taken in diagram._within,
 the diagonal copies are placed in matching._copy_rule, and the cost scale,
@@ -85,6 +87,26 @@ def test_the_overflowing_diagonal_distance_has_one_scalar_rule():
     assert _places(_is_scaled_difference) == {"diagram._diagonal_ground", "matching._diagonal_grounds"}
 
 
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _numpy_uses_in(function: str) -> list[str]:
+    tree = ast.parse((SOURCE / "matching.py").read_text(encoding="utf-8"))
+    body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [ast.unparse(node) for node in ast.walk(body)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"]
+
+
+def test_a_given_matching_is_priced_by_the_scalar_rule():
+    # the numpy ground kernel serves the large build alone, so repricing a
+    # witness checks that build against the scalar rule instead of itself
+    assert _places(_calls("_real_grounds")) == {"matching.build_augmented_problem"}
+    assert _places(_calls("_diagonal_grounds")) == {"matching.build_augmented_problem"}
+    assert _places(_calls("_slot_grounds")) == {"matching._assignment_grounds", "matching.distance"}
+    assert _numpy_uses_in("_assignment_grounds") == _numpy_uses_in("_slot_grounds") == []
+
+
 def test_the_exhaustive_optimum_is_picked_in_one_place():
     assert _places(lambda node: _is_attribute(node, "np", "argmin")) == {"matching._exhaust"}
 
@@ -101,15 +123,11 @@ def _reads_tol(node) -> bool:
         or (isinstance(n, ast.Attribute) and n.attr == "tol") for n in ast.walk(node))
 
 
-def _calls_within(node) -> bool:
-    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_within"
-
-
 def test_every_tolerance_verdict_goes_through_within():
     # excess <= tol * max(1, reference) is written once; MetricParams only
     # refuses a tol that is not a positive finite real
     assert _places(_reads_tol) == {"diagram._within", "diagram.__post_init__"}
-    assert _places(_calls_within) == {
+    assert _places(_calls("_within")) == {
         "geodesics.certify_geodesic", "geodesics._squeeze", "geodesics.classify_curve",
         "geodesics.detect_branching", "matching.enumerate_optimal_matchings",
         "ot.verify_ot_equivalence", "verification.metric_checks",
